@@ -49,13 +49,11 @@ fn bench_tidset(c: &mut Criterion) {
     for (label, cardinality) in densities {
         let a_ids = random_ids(cardinality, 0x5eed_0001);
         let b_ids = random_ids(cardinality, 0x5eed_0002);
-        for policy in [TidPolicy::Dense, TidPolicy::Adaptive, TidPolicy::Sparse] {
-            let name = match policy {
-                TidPolicy::Dense => "dense",
-                TidPolicy::Adaptive => "adaptive",
-                TidPolicy::Sparse => "sparse",
-                TidPolicy::Auto => unreachable!(),
-            };
+        for (policy, name) in [
+            (TidPolicy::Dense, "dense"),
+            (TidPolicy::Adaptive, "adaptive"),
+            (TidPolicy::Sparse, "sparse"),
+        ] {
             let a = TidSet::from_sorted_ids(a_ids.clone(), UNIVERSE, policy);
             let b = TidSet::from_sorted_ids(b_ids.clone(), UNIVERSE, policy);
             let mut out = TidBuf::new(UNIVERSE);

@@ -96,6 +96,26 @@ impl ArgMap {
     pub fn switch(&self, flag: &str) -> bool {
         self.switches.iter().any(|s| s == flag)
     }
+
+    /// Reject every flag or switch outside `known`, the whitespace-
+    /// separated flag sets the command reads. A typo (`--minsupp`) or a
+    /// retired flag is a usage error naming it, never silently ignored.
+    pub fn only(&self, command: &str, known: &[&str]) -> Result<(), CliError> {
+        let known = |f: &String| {
+            known
+                .iter()
+                .any(|set| set.split_whitespace().any(|k| k == f))
+        };
+        let unknown = self
+            .values
+            .keys()
+            .chain(&self.switches)
+            .filter(|f| !known(f));
+        match unknown.min() {
+            None => Ok(()),
+            Some(flag) => Err(CliError::Usage(format!("{command} does not take {flag}"))),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -123,6 +143,18 @@ mod tests {
         let a = ArgMap::parse(&v(&["--txns", "abc"])).unwrap();
         assert!(a.get_or("--txns", 0usize).is_err());
         assert!(a.require("--missing").is_err());
+    }
+
+    #[test]
+    fn only_names_the_first_unknown_flag() {
+        let a = ArgMap::parse(&v(&["--out", "x", "--zeta", "1", "--all", "--beta", "2"])).unwrap();
+        assert!(a.only("cmd", &["--out --zeta --beta", "--all"]).is_ok());
+        let err = a.only("cmd", &["--out", "--all"]).unwrap_err();
+        assert!(matches!(err, CliError::Usage(_)));
+        assert_eq!(err.to_string(), "cmd does not take --beta");
+        // Unknown switches are caught too, and a set matches whole flags.
+        assert!(a.only("cmd", &["--out --zeta --beta"]).is_err());
+        assert!(a.only("cmd", &["--out --zeta --beta --al"]).is_err());
     }
 
     #[test]

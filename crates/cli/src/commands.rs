@@ -4,7 +4,7 @@ use crate::args::{ArgMap, CliError};
 use pm_baselines::MostProfitableItem;
 use pm_datagen::DatasetConfig;
 use pm_eval::runner::{run_sweep, EvalConfig};
-use pm_rules::{MinerConfig, MoaMode, ProfitMode, PrunePolicy, RuleMiner, Support, TidPolicy};
+use pm_rules::{MinerConfig, MoaMode, ProfitMode, RuleMiner, Support};
 use pm_store::log::SalesLog;
 use pm_txn::{
     decode_stream_record, encode_stream_record, parse_item_floors, Catalog, CatalogDelta,
@@ -15,6 +15,22 @@ use profit_core::{
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// The flags every mining command reads: the dataset, the
+/// [`miner_config`] settings, the rule filters and the thread count.
+/// `assort` takes these; [`PIPELINE_FLAGS`] extend them for the rest.
+const MINE_FLAGS: &str = "--data --minsup --max-body --no-moa --buying --min-conf \
+    --min-profit --min-profit-per-item --target --conf --threads";
+
+/// What [`build_pipeline`] and the sales-log replay read beyond
+/// [`MINE_FLAGS`]. With them they form the fit set that `fit`,
+/// `checkpoint` and streaming `serve` share.
+const PIPELINE_FLAGS: &str = "--no-prune --log";
+
+/// The daemon flags of `serve`, in either mode.
+const SERVE_FLAGS: &str = "--addr --addr-file --workers --queue --io-threads --batch \
+    --read-timeout-ms --write-timeout-ms --deadline-ms --max-line --checkpoint \
+    --max-ingest-txns --max-ingest-bytes --metrics";
 
 fn read(path: &str) -> Result<String, CliError> {
     std::fs::read_to_string(path).map_err(|e| CliError::Runtime(format!("{path}: {e}")))
@@ -63,36 +79,6 @@ fn load_model(args: &ArgMap) -> Result<RuleModel, CliError> {
 /// result is bit-identical at every setting.
 fn threads(args: &ArgMap) -> Result<usize, CliError> {
     args.get_or("--threads", 0usize)
-}
-
-/// `--tidset auto|dense|adaptive|sparse`: the miner's tidset
-/// representation policy (default `auto`, which honors `PM_TIDSET`).
-/// Mined models are byte-identical at every setting.
-fn tidset(args: &ArgMap) -> Result<TidPolicy, CliError> {
-    match args.get("--tidset") {
-        None | Some("auto") => Ok(TidPolicy::Auto),
-        Some("dense") => Ok(TidPolicy::Dense),
-        Some("adaptive") => Ok(TidPolicy::Adaptive),
-        Some("sparse") => Ok(TidPolicy::Sparse),
-        Some(other) => Err(CliError::Usage(format!(
-            "--tidset must be auto, dense, adaptive, or sparse, got {other:?}"
-        ))),
-    }
-}
-
-/// `--prune auto|off|upper`: the miner's profit upper-bound pruning
-/// policy (default `auto`, which honors `PM_PRUNE`). Mined models are
-/// byte-identical at every setting — pruning only skips DFS subtrees
-/// that provably emit nothing.
-fn prune(args: &ArgMap) -> Result<PrunePolicy, CliError> {
-    match args.get("--prune") {
-        None | Some("auto") => Ok(PrunePolicy::Auto),
-        Some("off") => Ok(PrunePolicy::Off),
-        Some("upper") => Ok(PrunePolicy::Upper),
-        Some(other) => Err(CliError::Usage(format!(
-            "--prune must be auto, off, or upper, got {other:?}"
-        ))),
-    }
 }
 
 /// `--target items:A,B | subtree:CONCEPT | codes:0,1`: restrict mined
@@ -162,6 +148,7 @@ fn miner_config(args: &ArgMap) -> Result<MinerConfig, CliError> {
 
 /// `gen`: write a synthetic dataset.
 pub fn gen(args: &ArgMap) -> Result<String, CliError> {
+    args.only("gen", &["--out --dataset --txns --items --seed"])?;
     let out = args.require("--out")?;
     let dataset = args.get("--dataset").unwrap_or("i");
     let mut cfg = match dataset {
@@ -209,8 +196,6 @@ fn build_pipeline(args: &ArgMap, data: &TransactionSet) -> Result<ProfitMiner, C
     Ok(ProfitMiner::new(miner_config(args)?)
         .with_cut(cut)
         .with_threads(threads(args)?)
-        .with_tidset(tidset(args)?)
-        .with_prune(prune(args)?)
         .with_target(target_filter(args, data.catalog(), data.hierarchy())?)
         .with_item_floors(item_floors(args, data.catalog())?))
 }
@@ -255,6 +240,7 @@ fn replay_log(
 /// The written model is byte-identical to a cold fit on the
 /// concatenated stream.
 pub fn fit(args: &ArgMap) -> Result<String, CliError> {
+    args.only("fit", &[MINE_FLAGS, PIPELINE_FLAGS, "--out --metrics"])?;
     let mut data = load_data(args)?;
     if data.is_empty() {
         return Err(CliError::Runtime(
@@ -332,6 +318,7 @@ pub fn fit(args: &ArgMap) -> Result<String, CliError> {
 /// on the next open. The batch file is a JSON array of transactions —
 /// exactly what `split --tail` writes.
 pub fn ingest(args: &ArgMap) -> Result<String, CliError> {
+    args.only("ingest", &["--data --log --batch --catalog-delta"])?;
     let log_path = args.require("--log")?;
     let batch_path = args.require("--batch")?;
     let mut data = load_data(args)?;
@@ -405,6 +392,10 @@ pub fn ingest(args: &ArgMap) -> Result<String, CliError> {
 /// by a cold fit on `--data` plus a full log replay. Either way the
 /// sealed model is byte-identical to a cold fit on the whole stream.
 pub fn checkpoint(args: &ArgMap) -> Result<String, CliError> {
+    args.only(
+        "checkpoint",
+        &[MINE_FLAGS, PIPELINE_FLAGS, "--out --no-compact"],
+    )?;
     let log_path = args.require("--log")?;
     let out = args.require("--out")?;
     let base = load_data(args)?;
@@ -487,6 +478,7 @@ pub fn checkpoint(args: &ArgMap) -> Result<String, CliError> {
 /// (a bare JSON array of the remaining transactions, ready for
 /// `ingest --batch`).
 pub fn split(args: &ArgMap) -> Result<String, CliError> {
+    args.only("split", &["--data --at --head --tail"])?;
     let data = load_data(args)?;
     let head_path = args.require("--head")?;
     let tail_path = args.require("--tail")?;
@@ -517,9 +509,13 @@ pub fn split(args: &ArgMap) -> Result<String, CliError> {
 }
 
 /// `recommend`: recommend for one dataset transaction's customer, or —
-/// with `--all` — serve every customer through the indexed [`Matcher`]
-/// and print a per-`(item, code)` summary.
+/// with `--all` — for every customer with a per-`(item, code)` summary.
+/// Both answer through the indexed [`Matcher`] the daemon serves with.
 pub fn recommend(args: &ArgMap) -> Result<String, CliError> {
+    args.only(
+        "recommend",
+        &["--data --model --txn --top --all --target --metrics"],
+    )?;
     let data = load_data(args)?;
     let model = load_model(args)?;
     let out = if args.switch("--all") {
@@ -571,9 +567,10 @@ fn recommend_one(
     let customer: &[Sale] = t.non_target_sales();
     let moa = model.moa();
     let target = target_filter(args, moa.catalog(), moa.hierarchy())?;
+    let matcher = Matcher::new(model);
     let recs = match &target {
-        None => model.recommend_top_k(customer, k.max(1)),
-        Some(t) => model.recommend_top_k_where(customer, k.max(1), t),
+        None => matcher.recommend_top_k(customer, k.max(1)),
+        Some(t) => matcher.recommend_top_k_where(customer, k.max(1), t),
     };
     let mut out = format!(
         "customer of transaction {txn} ({} non-target sales):\n",
@@ -592,6 +589,7 @@ fn recommend_one(
 /// `(item, code)` assortment maximizing joint recommendation profit over
 /// the training customers (overlap-aware greedy; see `profit_core::assort`).
 pub fn assort(args: &ArgMap) -> Result<String, CliError> {
+    args.only("assort", &[MINE_FLAGS, "--n --metrics"])?;
     let data = load_data(args)?;
     if data.is_empty() {
         return Err(CliError::Runtime(
@@ -609,8 +607,6 @@ pub fn assort(args: &ArgMap) -> Result<String, CliError> {
     };
     let miner = RuleMiner::new(miner_config(args)?)
         .with_threads(threads(args)?)
-        .with_tidset(tidset(args)?)
-        .with_prune(prune(args)?)
         .with_target(target_filter(args, data.catalog(), data.hierarchy())?)
         .with_item_floors(item_floors(args, data.catalog())?);
     let mined = miner.mine(&data);
@@ -682,6 +678,7 @@ fn recommend_all(data: &TransactionSet, model: &RuleModel) -> Result<String, Cli
 
 /// `rules`: print a model's rules.
 pub fn rules(args: &ArgMap) -> Result<String, CliError> {
+    args.only("rules", &["--model --top"])?;
     let model = load_model(args)?;
     let top: usize = args.get_or("--top", usize::MAX)?;
     let mut out = format!("{} — {} rules\n", model.name(), model.rules().len());
@@ -693,6 +690,10 @@ pub fn rules(args: &ArgMap) -> Result<String, CliError> {
 
 /// `eval`: cross-validated comparison on a dataset.
 pub fn eval(args: &ArgMap) -> Result<String, CliError> {
+    args.only(
+        "eval",
+        &["--data --minsup --folds --seed --max-body --buying --threads --metrics"],
+    )?;
     let data = load_data(args)?;
     if data.is_empty() {
         return Err(CliError::Runtime(
@@ -727,6 +728,7 @@ pub fn eval(args: &ArgMap) -> Result<String, CliError> {
 
 /// `import`: build a dataset from catalog + sales CSVs.
 pub fn import(args: &ArgMap) -> Result<String, CliError> {
+    args.only("import", &["--catalog --sales --out"])?;
     let catalog_csv = read(args.require("--catalog")?)?;
     let sales_csv = read(args.require("--sales")?)?;
     let out = args.require("--out")?;
@@ -746,6 +748,7 @@ pub fn import(args: &ArgMap) -> Result<String, CliError> {
 
 /// `export`: write a dataset back to catalog + sales CSVs.
 pub fn export(args: &ArgMap) -> Result<String, CliError> {
+    args.only("export", &["--data --catalog --sales"])?;
     let data = load_data(args)?;
     let catalog_path = args.require("--catalog")?;
     let sales_path = args.require("--sales")?;
@@ -774,6 +777,11 @@ pub fn serve(args: &ArgMap) -> Result<String, CliError> {
             ))
         }
     };
+    if streaming.is_some() {
+        args.only("serve", &[SERVE_FLAGS, MINE_FLAGS, PIPELINE_FLAGS])?;
+    } else {
+        args.only("serve", &[SERVE_FLAGS, "--model"])?;
+    }
     let addr = args.get("--addr").unwrap_or("127.0.0.1:7878");
     let cfg = pm_serve::ServeConfig {
         workers: args.get_or("--workers", 4usize)?.max(1),
@@ -826,6 +834,7 @@ pub fn serve(args: &ArgMap) -> Result<String, CliError> {
 
 /// `stats`: summarize a dataset.
 pub fn stats(args: &ArgMap) -> Result<String, CliError> {
+    args.only("stats", &["--data"])?;
     let data = load_data(args)?;
     if data.is_empty() {
         return Err(CliError::Runtime("dataset is empty".into()));

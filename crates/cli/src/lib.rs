@@ -49,16 +49,16 @@ USAGE
                            [--max-body N] [--no-moa] [--conf] [--no-prune] [--min-conf F]
                            [--min-profit F] [--min-profit-per-item ITEM=F,...]
                            [--target items:A,B|subtree:C|codes:0,1] [--buying] [--threads N]
-                           [--tidset auto|dense|adaptive|sparse]
-                           [--prune auto|off|upper] [--metrics metrics.json]
+                           [--metrics metrics.json]
   profit-mining ingest     --data data.json --log sales.log --batch batch.json
                            [--catalog-delta delta.json]
   profit-mining checkpoint --data data.json --log sales.log --out ck.pmck
-                           [--no-compact] [fit flags]
+                           [--no-compact] [fit mining flags]
   profit-mining split      --data data.json --at N --head head.json --tail tail.json
   profit-mining recommend  --data data.json --model model.json [--txn N] [--top K] [--all]
                            [--target SPEC] [--metrics metrics.json]
-  profit-mining assort     --data data.json [--n N] [fit flags] [--metrics metrics.json]
+  profit-mining assort     --data data.json [--n N] [--metrics metrics.json]
+                           [fit mining flags except --log and --no-prune]
   profit-mining rules      --model model.json [--top N]
   profit-mining eval       --data data.json [--minsup F] [--folds N] [--buying] [--seed N]
                            [--threads N] [--metrics metrics.json]
@@ -69,18 +69,19 @@ USAGE
                            [--workers N] [--queue N] [--io-threads N] [--batch N]
                            [--deadline-ms N] [--read-timeout-ms N] [--write-timeout-ms N]
                            [--max-line BYTES] [--metrics metrics.json]
-  profit-mining serve      --data data.json --log sales.log [fit flags] [serve flags]
+  profit-mining serve      --data data.json --log sales.log [fit mining flags] [serve flags]
                            [--checkpoint ck.pmck] [--max-ingest-txns N]
                            [--max-ingest-bytes N]
   profit-mining help
 
+  Every command rejects a flag it does not take. The fit mining flags
+  are the fit flags other than --out and --metrics.
+
   --threads N selects the worker-thread count for mining and evaluation
-  (0 = all cores, the default; 1 = sequential). --tidset selects the
-  miner's tidset representation (auto honors the PM_TIDSET env var),
-  and --prune the profit upper-bound pruning policy (auto honors
-  PM_PRUNE; anything but \"off\" enables). Output is bit-identical at
-  every setting of any of them. --min-profit F admits only rules with
-  body profit ≥ F — the absolute floor the pruner cuts hardest against.
+  (0 = all cores, the default; 1 = sequential); output is bit-identical
+  at every setting. --min-profit F admits only rules with body profit
+  ≥ F — the absolute floor the miner's profit upper bound cuts hardest
+  against.
   --min-profit-per-item NAME=F,... sets per-item floors that override
   the scalar for the named target items (names or raw ids).
 
@@ -98,7 +99,8 @@ USAGE
   expected recommendation profit over the training customers — an
   overlap-aware greedy over the mined rule set (two pairs serving the
   same customers add less than their individual scores). It accepts the
-  fit flags, including --target and the profit floors.
+  fit mining flags except --no-prune and --log, including --target and
+  the profit floors.
 
   Streaming ingestion: ingest validates a JSON batch of transactions
   against the base dataset plus everything already logged, then appends
@@ -290,46 +292,31 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Every command rejects flags it does not read: a retired flag or
+    /// a typo is a usage error naming it, not a silently ignored no-op.
     #[test]
-    fn tidset_flag_is_output_invariant() {
-        let dir = std::env::temp_dir().join(format!("pm-cli-tid-{}", std::process::id()));
+    fn unknown_flags_are_usage_errors() {
+        let dir = std::env::temp_dir().join(format!("pm-cli-flags-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let data = dir.join("data.json").display().to_string();
+        let model = dir.join("model.json").display().to_string();
         run(&v(&[
-            "gen", "--out", &data, "--txns", "300", "--items", "60", "--seed", "9",
+            "gen", "--out", &data, "--txns", "200", "--items", "40", "--seed", "9",
         ]))
         .unwrap();
-        let fit_with = |policy: &str| {
-            let model = dir.join(format!("m-{policy}.json")).display().to_string();
-            run(&v(&[
-                "fit",
-                "--data",
-                &data,
-                "--out",
-                &model,
-                "--minsup",
-                "0.03",
-                "--max-body",
-                "2",
-                "--tidset",
-                policy,
-            ]))
-            .unwrap();
-            std::fs::read(&model).unwrap()
-        };
-        let dense = fit_with("dense");
-        assert_eq!(dense, fit_with("adaptive"), "fitted model bytes differ");
-        assert_eq!(dense, fit_with("sparse"), "fitted model bytes differ");
+        // Two flags earlier versions took, and a typo of --minsup.
+        for (flag, value) in [("tidset", "dense"), ("prune", "off"), ("minsupp", "0.5")] {
+            let flag = format!("--{flag}");
+            let argv = v(&["fit", "--data", &data, "--out", &model, &flag, value]);
+            match run(&argv) {
+                Err(CliError::Usage(msg)) => assert!(msg.contains(&flag), "{msg}"),
+                other => panic!("fit {flag}: expected a usage error, got {other:?}"),
+            }
+        }
+        assert!(!std::path::Path::new(&model).exists());
+        // Flags of another command are unknown too.
         assert!(matches!(
-            run(&v(&[
-                "fit",
-                "--data",
-                &data,
-                "--out",
-                "/tmp/x.json",
-                "--tidset",
-                "bogus",
-            ])),
+            run(&v(&["stats", "--data", &data, "--out", &model])),
             Err(CliError::Usage(_))
         ));
         std::fs::remove_dir_all(&dir).ok();
@@ -407,9 +394,8 @@ mod tests {
         .unwrap();
         let baseline_bytes = std::fs::read(&baseline).unwrap();
 
-        // Instrumented runs: PM_LOG=debug + --metrics at 1/2/8 threads
+        // Instrumented runs: debug logging + --metrics at 1/2/8 threads
         // must still write byte-identical models.
-        std::env::set_var("PM_LOG", "debug");
         pm_obs::set_level(pm_obs::Level::Debug);
         for threads in ["1", "2", "8"] {
             let model = dir.join(format!("m-t{threads}.json")).display().to_string();
@@ -433,7 +419,7 @@ mod tests {
             assert_eq!(
                 std::fs::read(&model).unwrap(),
                 baseline_bytes,
-                "model bytes changed under PM_LOG=debug + --metrics at {threads} threads"
+                "model bytes changed under debug logging + --metrics at {threads} threads"
             );
             let dump: MetricsDump =
                 serde_json::from_str(&std::fs::read_to_string(&metrics).unwrap()).unwrap();
@@ -771,8 +757,7 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Uniform per-item floors are byte-identical to the scalar floor,
-    /// and the flag set composes with `--prune` without changing bytes.
+    /// Uniform per-item floors are byte-identical to the scalar floor.
     #[test]
     fn per_item_floor_flag_generalizes_scalar() {
         let dir = std::env::temp_dir().join(format!("pm-cli-floor-{}", std::process::id()));
@@ -805,16 +790,6 @@ mod tests {
             &["--min-profit-per-item", "target-1=5.0,target-2=5.0"],
         );
         assert_eq!(scalar, per_item, "uniform per-item floors ≠ scalar floor");
-        let per_item_off = fit_with(
-            "per-item-off",
-            &[
-                "--min-profit-per-item",
-                "target-1=5.0,target-2=5.0",
-                "--prune",
-                "off",
-            ],
-        );
-        assert_eq!(per_item, per_item_off, "floors must be prune-invariant");
         // Malformed floor specs are usage errors.
         let err = run(&v(&[
             "fit",

@@ -1,15 +1,7 @@
 //! `profit-mining` — command-line profit mining.
 //!
-//! ```text
-//! profit-mining gen        --out data.json [--dataset i|ii] [--txns N] [--items N] [--seed N]
-//! profit-mining fit        --data data.json --out model.json [--minsup F] [--max-body N]
-//!                          [--no-moa] [--conf] [--no-prune] [--min-conf F]
-//!                          [--min-profit F] [--prune auto|off|upper]
-//! profit-mining recommend  --data data.json --model model.json [--txn N | --items a,b,c]
-//! profit-mining rules      --model model.json [--top N]
-//! profit-mining eval       --data data.json [--minsup F] [--folds N] [--buying] [--seed N]
-//! profit-mining stats      --data data.json
-//! ```
+//! `profit-mining help` prints every command and the flags it takes
+//! ([`pm_cli::usage`]); any other flag is a usage error.
 //!
 //! Datasets are the JSON produced by `gen` (or by
 //! [`pm_txn::TransactionSet::to_json`]); models serialize the trained

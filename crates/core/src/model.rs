@@ -213,7 +213,16 @@ impl RuleModel {
     /// The index of the recommendation rule for a customer: the
     /// highest-ranked rule whose body generalizes the customer's sales.
     pub fn recommendation_rule(&self, customer: &[Sale]) -> usize {
-        // The customer's generalized-sale closure.
+        let gs = self.closure(customer);
+        self.rules
+            .iter()
+            .position(|r| r.body.iter().all(|g| gs.contains(g)))
+            .expect("the default rule matches every customer")
+    }
+
+    /// The customer's generalized-sale closure: every `MOA(H)`
+    /// generalization of every sale.
+    fn closure(&self, customer: &[Sale]) -> HashSet<GenSale> {
         let mut gs: HashSet<GenSale> = HashSet::new();
         let mut buf = Vec::new();
         for s in customer {
@@ -221,10 +230,21 @@ impl RuleModel {
             self.moa.generalizations_of_sale_into(s, &mut buf);
             gs.extend(buf.iter().copied());
         }
-        self.rules
-            .iter()
-            .position(|r| r.body.iter().all(|g| gs.contains(g)))
-            .expect("the default rule matches every customer")
+        gs
+    }
+
+    /// The recommendation rule `idx` makes: its head pair, pricing and
+    /// statistics, traced back to the rule.
+    pub fn recommendation(&self, idx: usize) -> Recommendation {
+        let r = &self.rules[idx];
+        Recommendation {
+            item: r.item,
+            code: r.code,
+            promotion: *self.moa.catalog().code(r.item, r.code),
+            expected_profit: r.prof_re,
+            confidence: r.confidence,
+            rule_index: Some(idx),
+        }
     }
 
     /// Snapshot the model for serialization.
@@ -256,13 +276,7 @@ impl RuleModel {
     /// rules (§2, after Definition 4); the first entry equals
     /// [`Recommender::recommend`].
     pub fn recommend_top_k(&self, customer: &[Sale], k: usize) -> Vec<Recommendation> {
-        let mut gs: HashSet<GenSale> = HashSet::new();
-        let mut buf = Vec::new();
-        for s in customer {
-            buf.clear();
-            self.moa.generalizations_of_sale_into(s, &mut buf);
-            gs.extend(buf.iter().copied());
-        }
+        let gs = self.closure(customer);
         let mut seen: HashSet<(ItemId, CodeId)> = HashSet::new();
         let mut out = Vec::new();
         for (idx, r) in self.rules.iter().enumerate() {
@@ -274,14 +288,7 @@ impl RuleModel {
             }
             if r.body.iter().all(|g| gs.contains(g)) {
                 seen.insert((r.item, r.code));
-                out.push(Recommendation {
-                    item: r.item,
-                    code: r.code,
-                    promotion: *self.moa.catalog().code(r.item, r.code),
-                    expected_profit: r.prof_re,
-                    confidence: r.confidence,
-                    rule_index: Some(idx),
-                });
+                out.push(self.recommendation(idx));
             }
         }
         out
@@ -300,13 +307,7 @@ impl RuleModel {
         k: usize,
         target: &TargetFilter,
     ) -> Vec<Recommendation> {
-        let mut gs: HashSet<GenSale> = HashSet::new();
-        let mut buf = Vec::new();
-        for s in customer {
-            buf.clear();
-            self.moa.generalizations_of_sale_into(s, &mut buf);
-            gs.extend(buf.iter().copied());
-        }
+        let gs = self.closure(customer);
         let hierarchy = self.moa.hierarchy();
         let mut seen: HashSet<(ItemId, CodeId)> = HashSet::new();
         let mut out = Vec::new();
@@ -322,14 +323,7 @@ impl RuleModel {
             }
             if r.body.iter().all(|g| gs.contains(g)) {
                 seen.insert((r.item, r.code));
-                out.push(Recommendation {
-                    item: r.item,
-                    code: r.code,
-                    promotion: *self.moa.catalog().code(r.item, r.code),
-                    expected_profit: r.prof_re,
-                    confidence: r.confidence,
-                    rule_index: Some(idx),
-                });
+                out.push(self.recommendation(idx));
             }
         }
         out
@@ -404,6 +398,24 @@ struct MatcherScratch {
     matched: Vec<u32>,
 }
 
+impl MatcherScratch {
+    /// Load the customer's generalized-sale closure into `gs_set`
+    /// (deduplicated, first-seen order) and open a fresh count stamp.
+    fn load_closure(&mut self, moa: &Moa, customer: &[Sale]) {
+        self.gs_set.clear();
+        for sale in customer {
+            self.gs_buf.clear();
+            moa.generalizations_of_sale_into(sale, &mut self.gs_buf);
+            for g in &self.gs_buf {
+                if !self.gs_set.contains(g) {
+                    self.gs_set.push(*g);
+                }
+            }
+        }
+        self.stamp += 1;
+    }
+}
+
 impl<'a> Matcher<'a> {
     /// Index the model's rules.
     pub fn new(model: &'a RuleModel) -> Self {
@@ -450,19 +462,7 @@ impl<'a> Matcher<'a> {
     pub fn rule_for(&self, customer: &[Sale]) -> usize {
         let mut scratch = self.scratch.borrow_mut();
         let s = &mut *scratch;
-        s.gs_set.clear();
-        for sale in customer {
-            s.gs_buf.clear();
-            self.model
-                .moa
-                .generalizations_of_sale_into(sale, &mut s.gs_buf);
-            for g in &s.gs_buf {
-                if !s.gs_set.contains(g) {
-                    s.gs_set.push(*g);
-                }
-            }
-        }
-        s.stamp += 1;
+        s.load_closure(&self.model.moa, customer);
         // The default rule (last, empty body) always matches.
         let mut best = self.model.rules.len() - 1;
         let mut touched = 0u64;
@@ -500,72 +500,7 @@ impl<'a> Matcher<'a> {
     /// into rank order, and applies the same distinct-pair filter as the
     /// linear scan — so the output is identical element for element.
     pub fn recommend_top_k(&self, customer: &[Sale], k: usize) -> Vec<Recommendation> {
-        let _timer = self.latency.time();
-        if k == 0 {
-            return Vec::new();
-        }
-        let mut scratch = self.scratch.borrow_mut();
-        let s = &mut *scratch;
-        s.gs_set.clear();
-        for sale in customer {
-            s.gs_buf.clear();
-            self.model
-                .moa
-                .generalizations_of_sale_into(sale, &mut s.gs_buf);
-            for g in &s.gs_buf {
-                if !s.gs_set.contains(g) {
-                    s.gs_set.push(*g);
-                }
-            }
-        }
-        s.stamp += 1;
-        s.matched.clear();
-        s.matched.extend_from_slice(&self.empty_body);
-        let mut touched = 0u64;
-        for g in &s.gs_set {
-            if let Some(list) = self.postings.get(g) {
-                touched += list.len() as u64;
-                for &ri in list {
-                    let i = ri as usize;
-                    if s.stamp_val[i] != s.stamp {
-                        s.stamp_val[i] = s.stamp;
-                        s.count[i] = 0;
-                    }
-                    s.count[i] += 1;
-                    if s.count[i] == self.body_len[i] {
-                        s.matched.push(ri);
-                    }
-                }
-            }
-        }
-        self.postings_touched.add(touched);
-        s.matched.sort_unstable();
-        let mut seen: HashSet<(ItemId, CodeId)> = HashSet::new();
-        let mut out = Vec::new();
-        for &ri in &s.matched {
-            if out.len() >= k {
-                break;
-            }
-            let idx = ri as usize;
-            let r = &self.model.rules[idx];
-            if seen.insert((r.item, r.code)) {
-                out.push(Recommendation {
-                    item: r.item,
-                    code: r.code,
-                    promotion: *self.model.moa.catalog().code(r.item, r.code),
-                    expected_profit: r.prof_re,
-                    confidence: r.confidence,
-                    rule_index: Some(idx),
-                });
-            }
-        }
-        if out
-            .first()
-            .is_some_and(|r| r.rule_index == Some(self.model.rules.len() - 1))
-        {
-            self.default_hits.inc();
-        }
-        out
+        self.top_k(customer, k, None)
     }
 
     /// Indexed equivalent of [`RuleModel::recommend_top_k_where`]: the
@@ -579,25 +514,25 @@ impl<'a> Matcher<'a> {
         k: usize,
         target: &TargetFilter,
     ) -> Vec<Recommendation> {
+        self.top_k(customer, k, Some(target))
+    }
+
+    /// The one top-`k` walk behind both entry points. Only an unfiltered
+    /// walk whose first answer is the default rule counts toward
+    /// `serve.default_rule_hits`.
+    fn top_k(
+        &self,
+        customer: &[Sale],
+        k: usize,
+        target: Option<&TargetFilter>,
+    ) -> Vec<Recommendation> {
         let _timer = self.latency.time();
         if k == 0 {
             return Vec::new();
         }
         let mut scratch = self.scratch.borrow_mut();
         let s = &mut *scratch;
-        s.gs_set.clear();
-        for sale in customer {
-            s.gs_buf.clear();
-            self.model
-                .moa
-                .generalizations_of_sale_into(sale, &mut s.gs_buf);
-            for g in &s.gs_buf {
-                if !s.gs_set.contains(g) {
-                    s.gs_set.push(*g);
-                }
-            }
-        }
-        s.stamp += 1;
+        s.load_closure(&self.model.moa, customer);
         s.matched.clear();
         s.matched.extend_from_slice(&self.empty_body);
         let mut touched = 0u64;
@@ -628,19 +563,19 @@ impl<'a> Matcher<'a> {
             }
             let idx = ri as usize;
             let r = &self.model.rules[idx];
-            if !target.matches(hierarchy, r.item, r.code) {
+            if target.is_some_and(|t| !t.matches(hierarchy, r.item, r.code)) {
                 continue;
             }
             if seen.insert((r.item, r.code)) {
-                out.push(Recommendation {
-                    item: r.item,
-                    code: r.code,
-                    promotion: *self.model.moa.catalog().code(r.item, r.code),
-                    expected_profit: r.prof_re,
-                    confidence: r.confidence,
-                    rule_index: Some(idx),
-                });
+                out.push(self.model.recommendation(idx));
             }
+        }
+        if target.is_none()
+            && out
+                .first()
+                .is_some_and(|r| r.rule_index == Some(self.model.rules.len() - 1))
+        {
+            self.default_hits.inc();
         }
         out
     }
@@ -653,16 +588,7 @@ impl Recommender for Matcher<'_> {
 
     fn recommend(&self, customer: &[Sale]) -> Recommendation {
         let _timer = self.latency.time();
-        let idx = self.rule_for(customer);
-        let r = &self.model.rules[idx];
-        Recommendation {
-            item: r.item,
-            code: r.code,
-            promotion: *self.model.moa.catalog().code(r.item, r.code),
-            expected_profit: r.prof_re,
-            confidence: r.confidence,
-            rule_index: Some(idx),
-        }
+        self.model.recommendation(self.rule_for(customer))
     }
 
     fn n_rules(&self) -> Option<usize> {
@@ -681,16 +607,7 @@ impl Recommender for RuleModel {
     }
 
     fn recommend(&self, customer: &[Sale]) -> Recommendation {
-        let idx = self.recommendation_rule(customer);
-        let r = &self.rules[idx];
-        Recommendation {
-            item: r.item,
-            code: r.code,
-            promotion: *self.moa.catalog().code(r.item, r.code),
-            expected_profit: r.prof_re,
-            confidence: r.confidence,
-            rule_index: Some(idx),
-        }
+        self.recommendation(self.recommendation_rule(customer))
     }
 
     fn n_rules(&self) -> Option<usize> {

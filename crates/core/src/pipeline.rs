@@ -71,8 +71,8 @@ impl ProfitMiner {
             miner,
             cut: CutConfig::default(),
             threads: 0,
-            tidset: TidPolicy::Auto,
-            prune: PrunePolicy::Auto,
+            tidset: TidPolicy::Adaptive,
+            prune: PrunePolicy::Upper,
             target: None,
             item_floors: Vec::new(),
         }
@@ -97,8 +97,8 @@ impl ProfitMiner {
     }
 
     /// Set the miner's tidset representation policy (default
-    /// [`TidPolicy::Auto`], honoring `PM_TIDSET`). The fitted model is
-    /// byte-identical under every policy.
+    /// [`TidPolicy::Adaptive`]). The fitted model is byte-identical
+    /// under every policy; `tidset_model_bytes` proves it.
     pub fn with_tidset(mut self, tidset: TidPolicy) -> Self {
         self.tidset = tidset;
         self
@@ -110,9 +110,9 @@ impl ProfitMiner {
     }
 
     /// Set the miner's upper-bound pruning policy (default
-    /// [`PrunePolicy::Auto`], honoring `PM_PRUNE`). The fitted model is
-    /// byte-identical under every policy — the bound only cuts DFS
-    /// subtrees that provably emit nothing.
+    /// [`PrunePolicy::Upper`]). The fitted model is byte-identical under
+    /// every policy — the bound only cuts DFS subtrees that provably
+    /// emit nothing.
     pub fn with_prune(mut self, prune: PrunePolicy) -> Self {
         self.prune = prune;
         self
@@ -379,6 +379,15 @@ mod tests {
         for threads in [2usize, 8] {
             assert_eq!(sequential, fit_json(threads), "threads {threads}");
         }
+    }
+
+    /// Production fits run adaptive tidsets with upper-bound pruning;
+    /// the other policies exist only as in-process test axes.
+    #[test]
+    fn new_pipeline_defaults_to_adaptive_tidsets_and_upper_pruning() {
+        let pipeline = ProfitMiner::new(MinerConfig::default());
+        assert_eq!(pipeline.tidset(), TidPolicy::Adaptive);
+        assert_eq!(pipeline.prune(), PrunePolicy::Upper);
     }
 
     /// End-to-end determinism across pruning policies: the upper bound

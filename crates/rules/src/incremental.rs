@@ -54,8 +54,8 @@ struct MinerState {
     moa: Moa,
     extended: ExtendedData,
     tidsets: Vec<TidSet>,
-    /// Resolved once at fit time — `PM_TIDSET` / `PM_PRUNE` changes
-    /// between updates must not flip kernels mid-stream.
+    /// Fixed at fit time, or taken from the snapshot on restore, so a
+    /// resumed stream keeps the kernels it was checkpointed with.
     policy: TidPolicy,
     prune: bool,
     /// Support count of the last (re)mine; only ever rises.
@@ -93,11 +93,10 @@ struct AnchorCache {
 /// them in the same left-to-right order a cold pass uses.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MinerSnapshot {
-    /// Resolved tidset policy, encoded (`0` dense, `1` sparse,
-    /// `2` adaptive) — env changes across a restart must not flip
-    /// kernels mid-stream.
+    /// Tidset policy at fit time, encoded (`0` dense, `1` sparse,
+    /// `2` adaptive), so a restart resumes on the same kernels.
     policy: u8,
-    /// Whether upper-bound pruning was resolved on.
+    /// Whether upper-bound pruning was on at fit time.
     prune: bool,
     /// Support count at snapshot time; re-derived from the data at
     /// restore and required to agree.
@@ -172,8 +171,6 @@ fn encode_policy(p: TidPolicy) -> u8 {
         TidPolicy::Dense => 0,
         TidPolicy::Sparse => 1,
         TidPolicy::Adaptive => 2,
-        // `fit` resolves `Auto` before it ever reaches the state.
-        TidPolicy::Auto => unreachable!("snapshot of an unresolved tidset policy"),
     }
 }
 
@@ -207,9 +204,7 @@ fn survives(r: &Rule, minsup: u32, floor: (f64, f64)) -> bool {
 
 impl IncrementalMiner {
     /// Wrap a configured [`RuleMiner`]. Thread count, tidset policy and
-    /// prune policy are taken from the wrapped miner; `Auto` policies
-    /// are resolved against the environment once, at [`fit`](Self::fit)
-    /// time.
+    /// prune policy are taken from the wrapped miner.
     pub fn new(miner: RuleMiner) -> Self {
         Self { miner, state: None }
     }
@@ -243,8 +238,8 @@ impl IncrementalMiner {
             config.moa == MoaMode::Enabled,
         );
         let extended = ExtendedData::build(data, &moa, config.quantity);
-        let policy = self.miner.tidset().resolve();
-        let prune = self.miner.prune().resolve() == PrunePolicy::Upper;
+        let policy = self.miner.tidset();
+        let prune = self.miner.prune() == PrunePolicy::Upper;
         let tidsets = extended.tidsets(policy);
         let h = extended.n_heads();
         let mut head_hits = vec![0u64; h];

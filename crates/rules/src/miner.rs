@@ -80,37 +80,19 @@ pub enum MoaMode {
 /// Whether the DFS cuts subtrees with the anti-monotone profit/support
 /// upper bound (see DESIGN.md §14). An execution detail like
 /// [`TidPolicy`]: the bound only cuts subtrees that provably emit
-/// nothing, so mined output is byte-identical at every setting — the
-/// differential oracle matrix and the serialized-model `cmp` in CI lock
-/// this down.
+/// nothing, so mined output is byte-identical at every setting.
+/// Production mining always uses [`PrunePolicy::Upper`]; `Off` is
+/// reachable only through [`RuleMiner::with_prune`], as the in-process
+/// axis of the differential oracle and `mining_is_prune_policy_invariant`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PrunePolicy {
-    /// Resolve from the `PM_PRUNE` environment variable (`off` or
-    /// `upper`; anything else — including unset — means
-    /// [`PrunePolicy::Upper`], since the identity proof makes pruning
-    /// safe to default on).
-    #[default]
-    Auto,
     /// Enumerate every frequent candidate body (the legacy behavior).
     Off,
     /// Cut DFS subtrees whose per-head hit counts and positive-part
     /// profit sums prove that no descendant body can pass the emission
     /// filters.
+    #[default]
     Upper,
-}
-
-impl PrunePolicy {
-    /// Resolve [`PrunePolicy::Auto`] against the `PM_PRUNE` environment
-    /// variable; concrete policies pass through unchanged.
-    pub fn resolve(self) -> PrunePolicy {
-        match self {
-            PrunePolicy::Auto => match std::env::var("PM_PRUNE").ok().as_deref() {
-                Some("off") => PrunePolicy::Off,
-                _ => PrunePolicy::Upper,
-            },
-            other => other,
-        }
-    }
 }
 
 /// Miner configuration.
@@ -191,8 +173,8 @@ impl RuleMiner {
         Self {
             config,
             threads: 0,
-            tidset: TidPolicy::Auto,
-            prune: PrunePolicy::Auto,
+            tidset: TidPolicy::Adaptive,
+            prune: PrunePolicy::Upper,
             target: None,
             item_floors: Vec::new(),
         }
@@ -207,9 +189,9 @@ impl RuleMiner {
         self
     }
 
-    /// Set the tidset representation policy (default [`TidPolicy::Auto`],
-    /// which honors the `PM_TIDSET` environment variable). Mining output
-    /// is byte-identical under every policy.
+    /// Set the tidset representation policy (default
+    /// [`TidPolicy::Adaptive`]). Mining output is byte-identical under
+    /// every policy.
     pub fn with_tidset(mut self, tidset: TidPolicy) -> Self {
         self.tidset = tidset;
         self
@@ -230,9 +212,9 @@ impl RuleMiner {
         self.tidset
     }
 
-    /// Set the upper-bound pruning policy (default [`PrunePolicy::Auto`],
-    /// which honors the `PM_PRUNE` environment variable). Mining output
-    /// is byte-identical under every policy.
+    /// Set the upper-bound pruning policy (default
+    /// [`PrunePolicy::Upper`]). Mining output is byte-identical under
+    /// every policy.
     pub fn with_prune(mut self, prune: PrunePolicy) -> Self {
         self.prune = prune;
         self
@@ -292,8 +274,8 @@ impl RuleMiner {
     pub fn mine_extended(&self, extended: ExtendedData, moa: Moa) -> MinedRules {
         let n = extended.n_transactions();
         let minsup = self.config.min_support.to_count(n);
-        let policy = self.tidset.resolve();
-        let prune = self.prune.resolve() == PrunePolicy::Upper;
+        let policy = self.tidset;
+        let prune = self.prune == PrunePolicy::Upper;
         let tidsets = {
             let _span = pm_obs::span("mine.tidsets");
             extended.tidsets(policy)
@@ -775,7 +757,7 @@ pub(crate) struct RuleEmitter<'a> {
     /// `(Prof_re, confidence)` of the best default rule; rules at or
     /// below both floors are dominated and skipped.
     default_floor: (f64, f64),
-    /// Upper-bound pruning on (resolved [`PrunePolicy::Upper`]).
+    /// Upper-bound pruning on ([`PrunePolicy::Upper`]).
     prune: bool,
     /// Pruning needs a dedicated positive-part accumulator: some margin
     /// is negative or NaN, so `head_profit` is not its own positive
@@ -1829,11 +1811,16 @@ mod tests {
         }
     }
 
-    /// Explicit policies resolve to themselves regardless of `PM_PRUNE`.
+    /// Production mining runs adaptive tidsets with upper-bound pruning;
+    /// the other policies exist only as in-process test axes.
     #[test]
-    fn explicit_prune_policy_ignores_env() {
-        assert_eq!(PrunePolicy::Off.resolve(), PrunePolicy::Off);
-        assert_eq!(PrunePolicy::Upper.resolve(), PrunePolicy::Upper);
+    fn new_miner_defaults_to_adaptive_tidsets_and_upper_pruning() {
+        let miner = RuleMiner::new(MinerConfig::default());
+        assert_eq!(miner.tidset(), TidPolicy::Adaptive);
+        assert_eq!(miner.prune(), PrunePolicy::Upper);
+        let miner = RuleMiner::default();
+        assert_eq!(miner.tidset(), TidPolicy::Adaptive);
+        assert_eq!(miner.prune(), PrunePolicy::Upper);
     }
 
     /// A `min_rule_profit` no dataset can meet lets the anchor probes cut

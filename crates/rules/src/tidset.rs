@@ -37,18 +37,17 @@ pub const SPARSE_DENSITY_SHIFT: u32 = 6;
 
 /// Which tidset representation the miner uses. An execution detail like
 /// the worker-thread count: mined output is byte-identical at every
-/// setting, only set algebra changes.
+/// setting, only set algebra changes. Production mining always uses
+/// [`TidPolicy::Adaptive`]; `Dense` and `Sparse` are reachable only
+/// through `RuleMiner::with_tidset`, as the forced-representation axis
+/// of the `differential_oracle` and `tidset_model_bytes` suites.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TidPolicy {
-    /// Resolve from the `PM_TIDSET` environment variable (`dense`,
-    /// `adaptive`, or `sparse`; anything else — including unset — means
-    /// [`TidPolicy::Adaptive`]).
-    #[default]
-    Auto,
     /// Always dense `u64`-word bitsets (the legacy representation).
     Dense,
     /// Dense above the [`SPARSE_DENSITY_SHIFT`] density threshold,
     /// sorted-`u32` sparse at or below it.
+    #[default]
     Adaptive,
     /// Always sorted-`u32` vectors (forced-threshold testing, or data
     /// known to be uniformly sparse).
@@ -56,27 +55,13 @@ pub enum TidPolicy {
 }
 
 impl TidPolicy {
-    /// Resolve [`TidPolicy::Auto`] against the `PM_TIDSET` environment
-    /// variable; concrete policies pass through unchanged.
-    pub fn resolve(self) -> TidPolicy {
-        match self {
-            TidPolicy::Auto => match std::env::var("PM_TIDSET").ok().as_deref() {
-                Some("dense") => TidPolicy::Dense,
-                Some("sparse") => TidPolicy::Sparse,
-                _ => TidPolicy::Adaptive,
-            },
-            other => other,
-        }
-    }
-
     /// Largest cardinality still stored sparse over a universe of
-    /// `capacity` ids. `Auto` behaves like `Adaptive` here; callers on
-    /// hot paths should [`resolve`](Self::resolve) once up front.
+    /// `capacity` ids.
     pub fn sparse_max(self, capacity: usize) -> usize {
         match self {
             TidPolicy::Dense => 0,
             TidPolicy::Sparse => capacity,
-            TidPolicy::Auto | TidPolicy::Adaptive => capacity >> SPARSE_DENSITY_SHIFT,
+            TidPolicy::Adaptive => capacity >> SPARSE_DENSITY_SHIFT,
         }
     }
 }
@@ -638,13 +623,10 @@ mod tests {
     }
 
     #[test]
-    fn policy_resolution_and_threshold() {
+    fn policy_threshold() {
         assert_eq!(TidPolicy::Dense.sparse_max(1000), 0);
         assert_eq!(TidPolicy::Sparse.sparse_max(1000), 1000);
         assert_eq!(TidPolicy::Adaptive.sparse_max(6400), 100);
-        assert_eq!(TidPolicy::Dense.resolve(), TidPolicy::Dense);
-        // Auto resolves to something concrete.
-        assert_ne!(TidPolicy::Auto.resolve(), TidPolicy::Auto);
     }
 
     #[test]

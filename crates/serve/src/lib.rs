@@ -1855,16 +1855,11 @@ fn default_rule_recs(model: &RuleModel) -> Vec<Recommendation> {
     let Some(idx) = model.rules().len().checked_sub(1) else {
         return Vec::new();
     };
-    let r = &model.rules()[idx];
-    debug_assert!(r.is_default, "servable models end with the default rule");
-    vec![Recommendation {
-        item: r.item,
-        code: r.code,
-        promotion: *model.moa().catalog().code(r.item, r.code),
-        expected_profit: r.prof_re,
-        confidence: r.confidence,
-        rule_index: Some(idx),
-    }]
+    debug_assert!(
+        model.rules()[idx].is_default,
+        "servable models end with the default rule"
+    );
+    vec![model.recommendation(idx)]
 }
 
 /// Control-plane executor: validates replacement models and runs

@@ -18,8 +18,9 @@
 //! * **poll** (portable fallback) — interest is kept in a map and every
 //!   [`Poller::wait`] rebuilds a `pollfd` array, O(registered) per
 //!   wakeup. Correct everywhere POSIX; selected automatically off
-//!   Linux, or forced with `PM_POLL_BACKEND=poll` (or
-//!   [`Poller::new_poll_fallback`]) for testing the fallback on Linux.
+//!   Linux, and reachable on Linux only through
+//!   [`Poller::new_poll_fallback`], which this crate's unit tests run
+//!   beside the epoll backend.
 //!
 //! Deviations from the real `polling` crate, deliberate and documented:
 //! interest is **level-triggered and persistent** (no oneshot re-arm
@@ -283,15 +284,12 @@ pub struct Poller {
 }
 
 impl Poller {
-    /// A poller on the platform's best backend (`epoll` on Linux unless
-    /// `PM_POLL_BACKEND=poll` is set, `poll` elsewhere).
+    /// A poller on the platform's backend: `epoll` on Linux, `poll`
+    /// elsewhere.
     pub fn new() -> io::Result<Poller> {
         #[cfg(target_os = "linux")]
-        {
-            if std::env::var("PM_POLL_BACKEND").as_deref() != Ok("poll") {
-                return Poller::new_epoll();
-            }
-        }
+        return Poller::new_epoll();
+        #[cfg(not(target_os = "linux"))]
         Poller::new_poll_fallback()
     }
 

@@ -33,15 +33,14 @@ fn model_bytes_identical_with_observability_on() {
     pm_obs::set_level(pm_obs::Level::Off);
     let reference = fit_bytes(&ds, 1);
 
-    // Instrumented: the env var a user would set, plus the programmatic
-    // override (the level may already have been latched by another test).
-    std::env::set_var("PM_LOG", "debug");
+    // Instrumented: debug logging set programmatically, the level
+    // `PM_LOG=debug` latches for a user.
     pm_obs::set_level(pm_obs::Level::Debug);
     for threads in [1usize, 2, 8] {
         assert_eq!(
             reference,
             fit_bytes(&ds, threads),
-            "PM_LOG=debug at {threads} threads diverged from observability-off"
+            "debug logging at {threads} threads diverged from observability-off"
         );
     }
     pm_obs::set_level(pm_obs::Level::Off);
