@@ -424,7 +424,17 @@ mod tests {
             let dump: MetricsDump =
                 serde_json::from_str(&std::fs::read_to_string(&metrics).unwrap()).unwrap();
             let phases: Vec<&str> = dump.phases.iter().map(|p| p.phase.as_str()).collect();
-            for want in ["mine.tidsets", "mine.dfs", "fit.mine", "fit.build"] {
+            for want in [
+                "mine.tidsets",
+                "mine.dfs",
+                "fit.mine",
+                "fit.build",
+                "tree.rank",
+                "tree.dominance",
+                "tree.parents",
+                "tree.coverage",
+                "build.cut",
+            ] {
                 assert!(phases.contains(&want), "missing phase {want}: {phases:?}");
             }
             assert!(dump.phases.iter().all(|p| p.millis >= 0.0));

@@ -133,24 +133,29 @@ impl RuleModel {
             projector.profit(tids.len() as u64, hits, profit)
         };
 
+        let cut_span = pm_obs::span("build.cut");
         let cut_input = CutTree {
-            parent: tree.parent.clone(),
-            cover: tree.cover.clone(),
+            parent: tree.parent,
+            cover: tree.cover,
         };
         let result = if config.prune {
             optimal_cut(&cut_input, eval)
         } else {
             // No pruning: every node kept with its own coverage.
+            let node_profit: Vec<f64> = (0..n_after_dominance)
+                .map(|i| eval(i, &cut_input.cover[i]))
+                .collect();
             crate::cut::CutResult {
-                retained: vec![true; tree.len()],
-                node_profit: (0..tree.len()).map(|i| eval(i, &tree.cover[i])).collect(),
-                final_cover: tree.cover.clone(),
-                total_profit: (0..tree.len()).map(|i| eval(i, &tree.cover[i])).sum(),
+                retained: vec![true; n_after_dominance],
+                total_profit: node_profit.iter().sum(),
+                node_profit,
+                final_cover: cut_input.cover,
             }
         };
+        drop(cut_span);
 
         let interner = mined.interner();
-        let rules: Vec<ModelRule> = (0..tree.len())
+        let rules: Vec<ModelRule> = (0..n_after_dominance)
             .filter(|&i| result.retained[i])
             .map(|i| {
                 let r = &tree.rules[i];

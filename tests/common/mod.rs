@@ -11,14 +11,18 @@
 //! * the default rule and the complete MPF-ranked list per profit mode;
 //! * the per-customer recommendation (indexed matcher, linear-scan model
 //!   and oracle ranked-list scan must all pick the same rule).
+//!
+//! [`compare_tree`] is a separate axis for §4.1: the covering tree's
+//! survivors, parents and covers against the oracle's pairwise tree.
 
 #![allow(dead_code)]
 
-use pm_oracle::{Oracle, OracleConfig, OracleProfitMode, OracleRule};
+use pm_oracle::{Oracle, OracleConfig, OracleProfitMode, OracleRule, OracleTree};
 use pm_rules::{
     MinedRules, MinerConfig, MoaMode, ProfitMode, PrunePolicy, RuleMiner, Support, TidPolicy,
 };
 use pm_txn::{QuantityModel, Sale, TransactionSet};
+use profit_core::tree::CoveringTree;
 use profit_core::{CutConfig, Matcher, RuleModel};
 
 /// The tidset policies the optimized stack is exercised under.
@@ -318,13 +322,7 @@ fn compare_ranked(
     for (pos, (rule, orule)) in opt.iter().zip(orc.iter()).enumerate() {
         let body = mined.resolve_body(rule);
         let (item, code) = mined.head(rule.head);
-        let same = body == orule.body
-            && (item, code) == (orule.item, orule.code)
-            && rule.body_count == orule.body_count
-            && rule.hits == orule.hits
-            && rule.profit.to_bits() == orule.profit.to_bits()
-            && rule.gen_index == orule.gen_index;
-        if !same {
+        if !same_rule(mined, rule, orule) {
             return Err(format!(
                 "ranked position {pos}: optimized gen={} body={body:?} head=({item:?},{code:?}) \
                  N={} hits={} profit={} vs oracle gen={} body={:?} head=({:?},{:?}) N={} hits={} \
@@ -342,6 +340,92 @@ fn compare_ranked(
                 orule.profit
             ));
         }
+    }
+    Ok(())
+}
+
+/// Rule identity across the two stacks: resolved body, head, counts,
+/// profit bits and generation index.
+fn same_rule(mined: &MinedRules, rule: &pm_rules::Rule, orule: &OracleRule) -> bool {
+    mined.resolve_body(rule) == orule.body
+        && mined.head(rule.head) == (orule.item, orule.code)
+        && rule.body_count == orule.body_count
+        && rule.hits == orule.hits
+        && rule.profit.to_bits() == orule.profit.to_bits()
+        && rule.gen_index == orule.gen_index
+}
+
+/// The §4.1 axis over one dataset: for each `MoaMode`, mine with the
+/// production policies and compare `CoveringTree::build` under each
+/// profit mode against the oracle's pairwise tree — survivors by rule
+/// identity and order, parents by index, covers by transaction list.
+pub fn compare_tree(data: &TransactionSet, minsup: u32, max_body_len: usize) -> Result<(), String> {
+    for moa_on in [true, false] {
+        let oracle = Oracle::build(
+            data,
+            OracleConfig {
+                moa: moa_on,
+                ..OracleConfig::new(minsup, max_body_len)
+            },
+        );
+        let mined = RuleMiner::new(miner_config(
+            minsup,
+            max_body_len,
+            moa_on,
+            QuantityModel::Saving,
+        ))
+        .mine(data);
+        for (mode, omode) in MODES {
+            let tree = CoveringTree::build(&mined, mode, None);
+            compare_trees(&mined, &tree, &oracle.covering_tree(omode))
+                .map_err(|e| format!("[tree moa={moa_on} mode={mode:?}] {e}"))?;
+        }
+    }
+    Ok(())
+}
+
+fn compare_trees(
+    mined: &MinedRules,
+    tree: &CoveringTree,
+    otree: &OracleTree,
+) -> Result<(), String> {
+    if tree.len() != otree.rules.len() {
+        return Err(format!(
+            "survivors: optimized {} vs oracle {}",
+            tree.len(),
+            otree.rules.len()
+        ));
+    }
+    for (i, (rule, orule)) in tree.rules.iter().zip(&otree.rules).enumerate() {
+        if !same_rule(mined, rule, orule) {
+            return Err(format!(
+                "survivor {i}: optimized gen={} body={:?} vs oracle gen={} body={:?}",
+                rule.gen_index,
+                mined.resolve_body(rule),
+                orule.gen_index,
+                orule.body
+            ));
+        }
+    }
+    for i in 0..tree.len() {
+        if tree.parent[i] != otree.parent[i] {
+            return Err(format!(
+                "parent of survivor {i}: optimized {:?} vs oracle {:?}",
+                tree.parent[i], otree.parent[i]
+            ));
+        }
+        if tree.cover[i] != otree.cover[i] {
+            return Err(format!(
+                "cover of survivor {i}: optimized {:?} vs oracle {:?}",
+                tree.cover[i], otree.cover[i]
+            ));
+        }
+    }
+    if tree.n_dominated != otree.n_dominated {
+        return Err(format!(
+            "dominated: optimized {} vs oracle {}",
+            tree.n_dominated, otree.n_dominated
+        ));
     }
     Ok(())
 }

@@ -93,6 +93,63 @@ fn workload_body_len_three() {
     }
 }
 
+/// A tiny dataset under a two-level concept hierarchy, so that closures
+/// carry concept chains and reach past depth 1 of the body trie.
+fn deep_dataset(seed: u64) -> (TransactionSet, u32) {
+    let n_txns = [12, 16, 20][(seed % 3) as usize];
+    let n_items = [4, 6, 8][(seed % 3) as usize];
+    let data = DatasetConfig::tiny(n_txns, n_items, 3)
+        .with_hierarchy(HierarchyConfig {
+            branching: 2,
+            levels: 2,
+        })
+        .generate(&mut StdRng::seed_from_u64(0x7EEE_0000 ^ seed));
+    (data, 1 + (seed % 2) as u32)
+}
+
+fn check_tree(data: &TransactionSet, minsup: u32, max_body_len: usize, what: &str) {
+    let compare = |ds: &TransactionSet| common::compare_tree(ds, minsup, max_body_len);
+    if let Err(msg) = compare(data) {
+        common::report_divergence_under(
+            data,
+            &compare,
+            minsup,
+            max_body_len,
+            &format!("{what}: {msg}"),
+        );
+    }
+}
+
+/// The §4.1 covering tree (dominance, parents, coverage) against the
+/// oracle's pairwise tree over the seeded tiny datasets, across
+/// `MoaMode × ProfitMode`.
+#[test]
+fn tree_differential_twenty_seeded_datasets() {
+    for seed in 0..20 {
+        let (data, minsup) = tiny_dataset(seed);
+        check_tree(&data, minsup, 2, &format!("seed {seed}"));
+    }
+}
+
+/// The tree axis at body length 3 on the sweep's deeper seeds.
+#[test]
+fn tree_differential_body_len_three() {
+    for seed in [2, 7, 11, 23, 41] {
+        let (data, minsup) = tiny_dataset(seed);
+        check_tree(&data, minsup, 3, &format!("seed {seed}"));
+    }
+}
+
+/// The tree axis under a two-level concept hierarchy at body length 3:
+/// generalizers several ancestors away and bodies of several elements.
+#[test]
+fn tree_differential_two_level_hierarchy() {
+    for seed in 0..6 {
+        let (data, minsup) = deep_dataset(seed);
+        check_tree(&data, minsup, 3, &format!("deep seed {seed}"));
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
