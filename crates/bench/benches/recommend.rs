@@ -1,5 +1,5 @@
-//! Recommendation latency: the posting-list Matcher versus the linear
-//! rank-order scan, per customer.
+//! Recommendation latency of the posting-list Matcher: per customer, and
+//! one batch pass over every customer.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pm_bench::bench_dataset;
@@ -29,12 +29,6 @@ fn bench_recommend(c: &mut Criterion) {
             matcher.recommend(&customers[i])
         })
     });
-    c.bench_function("recommend/linear-scan", |b| {
-        b.iter(|| {
-            i = (i + 1) % customers.len();
-            model.recommend(&customers[i])
-        })
-    });
     // Serving throughput: one full pass over every customer — the batch
     // loop `recommend --all` and the evaluation runner actually execute.
     c.bench_function("recommend/batch-matcher", |b| {
@@ -42,14 +36,6 @@ fn bench_recommend(c: &mut Criterion) {
             customers
                 .iter()
                 .map(|c| matcher.recommend(c).item.0 as u64)
-                .sum::<u64>()
-        })
-    });
-    c.bench_function("recommend/batch-linear-scan", |b| {
-        b.iter(|| {
-            customers
-                .iter()
-                .map(|c| model.recommend(c).item.0 as u64)
                 .sum::<u64>()
         })
     });

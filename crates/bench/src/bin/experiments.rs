@@ -278,8 +278,8 @@ fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
 
 /// Wall-time every phase of the pipeline — generation, extension, tidset
 /// construction and mining under the dense and adaptive policies, model
-/// build, and a full serving pass through the indexed matcher versus the
-/// linear scan — and write the summary as `BENCH_mining.json`.
+/// build (which includes the rule index), and a full serving pass
+/// through the matcher — and write the summary as `BENCH_mining.json`.
 fn bench_mining(opts: &Options) {
     let cfg = MinerConfig {
         min_support: Support::Fraction(0.01),
@@ -327,23 +327,14 @@ fn bench_mining(opts: &Options) {
         .iter()
         .map(|t| t.non_target_sales().to_vec())
         .collect();
-    let (matcher, t) = timed(|| Matcher::new(&model));
-    record("matcher-index", t);
-    let (indexed, t) = timed(|| {
+    let matcher = Matcher::new(&model);
+    let (_, t) = timed(|| {
         customers
             .iter()
             .map(|c| matcher.recommend(c).expected_profit)
             .sum::<f64>()
     });
     record("serve-indexed", t);
-    let (linear, t) = timed(|| {
-        customers
-            .iter()
-            .map(|c| model.recommend(c).expected_profit)
-            .sum::<f64>()
-    });
-    record("serve-linear", t);
-    assert_eq!(indexed, linear, "indexed and linear serving disagree");
 
     // Upper-bound pruning cell: mine the single-target low-minsup Quest
     // preset — the regime where most of the candidate lattice is

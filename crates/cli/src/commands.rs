@@ -65,7 +65,7 @@ fn dump_metrics(args: &ArgMap) -> Result<(), CliError> {
 fn load_model(args: &ArgMap) -> Result<RuleModel, CliError> {
     let path = args.require("--model")?;
     // The store validates the envelope (magic, version, length, CRC)
-    // before any deserialization; legacy raw-JSON model files still load.
+    // before any deserialization; unsealed files are rejected.
     pm_serve::load_model(path).map_err(|e| match e {
         pm_serve::ServeError::Store(se @ pm_store::StoreError::Io { .. }) => {
             CliError::Runtime(se.to_string())

@@ -147,8 +147,8 @@ USAGE
   incrementally, and hot-swap the model — byte-identical to a cold fit
   on the concatenated stream. --addr HOST:0 picks an ephemeral port;
   --addr-file publishes the bound address. fit writes models in a
-  checksummed envelope, so torn or bit-flipped files are rejected at
-  load (legacy raw-JSON models still load).
+  checksummed envelope, so torn, bit-flipped or unsealed files are
+  rejected at load.
 
   Observability: PM_LOG=off|error|info|debug selects structured logging
   to stderr (default off); --metrics PATH dumps the metrics registry

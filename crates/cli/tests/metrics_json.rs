@@ -76,8 +76,7 @@ fn metrics_file_is_parseable_json_with_trailing_newline() {
     // The model written alongside is a sealed envelope; its checksummed
     // payload must be a valid JSON document (guards the primary output
     // while we are here).
-    let (payload, provenance) = pm_store::load_model_file(&model).expect("model envelope valid");
-    assert_eq!(provenance, pm_store::Provenance::Sealed);
+    let payload = pm_store::load_model_file(&model).expect("model envelope valid");
     let model_text = String::from_utf8(payload).expect("payload is UTF-8");
     serde_json::from_str::<serde::Value>(&model_text).expect("model payload must be JSON");
 

@@ -17,7 +17,7 @@
 //!
 //! The candidate list is derived from the full MPF-ranked rule list
 //! ([`crate::rank::ranked_rules`]) by first-occurrence dedup — the exact
-//! dedup [`crate::model::RuleModel::recommend_top_k`] performs. The §3.2
+//! dedup [`crate::model::Matcher::recommend_top_k`] performs. The §3.2
 //! tie-chain (`Prof_re` → larger support → smaller body → earlier
 //! generation, via [`crate::rank::mpf_cmp`]) therefore decides the
 //! candidate **order** here just as it decides the recommendation order

@@ -7,9 +7,11 @@
 //! then [`swap`](ModelHandle::swap)s it in. Workers detect the swap
 //! through the monotonically increasing
 //! [`generation`](ModelHandle::generation) counter (one relaxed atomic
-//! load per request) and rebuild their per-model state — in-flight
-//! requests keep the snapshot they started with, so a reload can never
-//! change an answer halfway through computing it.
+//! load per request) and take fresh matcher scratch for the new model —
+//! the rule index travels inside the [`RuleModel`], built when the model
+//! was built or loaded. In-flight requests keep the snapshot they started
+//! with, so a reload can never change an answer halfway through
+//! computing it.
 
 use crate::model::RuleModel;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -58,7 +60,7 @@ impl ModelHandle {
 
     /// The generation counter: starts at 1, increments on every
     /// [`swap`](ModelHandle::swap). Workers compare this against the
-    /// generation of their cached snapshot to decide when to re-index.
+    /// generation of their cached snapshot to decide when to switch.
     pub fn generation(&self) -> u64 {
         self.generation.load(Ordering::Acquire)
     }

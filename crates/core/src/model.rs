@@ -15,7 +15,7 @@ use crate::tree::CoveringTree;
 use pm_rules::{MinedRules, ProfitMode};
 use pm_txn::{CodeId, GenSale, ItemId, Moa, PromotionCode, Sale, TargetFilter};
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 /// A recommendation: one `(target item, promotion code)` pair plus the
 /// statistics of the rule that produced it.
@@ -82,12 +82,51 @@ pub struct ModelRule {
 }
 
 /// A trained, pruned, self-contained profit-mining recommender.
+///
+/// The model carries the posting index [`Matcher`] scores against. It is
+/// built once, in [`RuleModel::build`] and [`RuleModel::load`], so every
+/// matcher over the model shares it and none re-indexes.
 #[derive(Debug, Clone)]
 pub struct RuleModel {
     moa: Moa,
     mode: ProfitMode,
     rules: Vec<ModelRule>,
     stats: BuildStats,
+    index: RuleIndex,
+}
+
+/// Rules indexed by their body elements: the recommendation rule for a
+/// customer is found by posting-list counting instead of scanning the
+/// rank order. Derived from the rules, never serialized.
+#[derive(Debug, Clone)]
+struct RuleIndex {
+    postings: HashMap<GenSale, Vec<u32>>,
+    body_len: Vec<u32>,
+    /// Rules with an empty body (they match every customer and never
+    /// appear in a posting list) — in practice just the default rule.
+    empty_body: Vec<u32>,
+}
+
+impl RuleIndex {
+    fn build(rules: &[ModelRule]) -> RuleIndex {
+        let mut postings: HashMap<GenSale, Vec<u32>> = HashMap::new();
+        let mut body_len = Vec::with_capacity(rules.len());
+        let mut empty_body = Vec::new();
+        for (i, r) in rules.iter().enumerate() {
+            body_len.push(r.body.len() as u32);
+            if r.body.is_empty() {
+                empty_body.push(i as u32);
+            }
+            for &g in &r.body {
+                postings.entry(g).or_default().push(i as u32);
+            }
+        }
+        RuleIndex {
+            postings,
+            body_len,
+            empty_body,
+        }
+    }
 }
 
 /// A serializable snapshot of a trained [`RuleModel`] — everything needed
@@ -190,6 +229,7 @@ impl RuleModel {
         RuleModel {
             moa: mined.moa().clone(),
             mode: config.profit_mode,
+            index: RuleIndex::build(&rules),
             rules,
             stats,
         }
@@ -213,29 +253,6 @@ impl RuleModel {
     /// The `MOA(H)` view (catalog, hierarchy, favorability).
     pub fn moa(&self) -> &Moa {
         &self.moa
-    }
-
-    /// The index of the recommendation rule for a customer: the
-    /// highest-ranked rule whose body generalizes the customer's sales.
-    pub fn recommendation_rule(&self, customer: &[Sale]) -> usize {
-        let gs = self.closure(customer);
-        self.rules
-            .iter()
-            .position(|r| r.body.iter().all(|g| gs.contains(g)))
-            .expect("the default rule matches every customer")
-    }
-
-    /// The customer's generalized-sale closure: every `MOA(H)`
-    /// generalization of every sale.
-    fn closure(&self, customer: &[Sale]) -> HashSet<GenSale> {
-        let mut gs: HashSet<GenSale> = HashSet::new();
-        let mut buf = Vec::new();
-        for s in customer {
-            buf.clear();
-            self.moa.generalizations_of_sale_into(s, &mut buf);
-            gs.extend(buf.iter().copied());
-        }
-        gs
     }
 
     /// The recommendation rule `idx` makes: its head pair, pricing and
@@ -264,74 +281,17 @@ impl RuleModel {
         }
     }
 
-    /// Restore a model from a snapshot (recomputing the MOA tables).
+    /// Restore a model from a snapshot (recomputing the MOA tables and
+    /// the rule index).
     pub fn load(saved: SavedModel) -> RuleModel {
         let moa = Moa::from_refs(&saved.catalog, &saved.hierarchy, saved.moa_enabled);
         RuleModel {
             moa,
             mode: saved.mode,
+            index: RuleIndex::build(&saved.rules),
             rules: saved.rules,
             stats: saved.stats,
         }
-    }
-
-    /// Up to `k` recommendations of **distinct** `(item, code)` pairs, in
-    /// MPF rank order of their best matching rule. The paper notes that
-    /// recommending several pairs per customer is just selecting several
-    /// rules (§2, after Definition 4); the first entry equals
-    /// [`Recommender::recommend`].
-    pub fn recommend_top_k(&self, customer: &[Sale], k: usize) -> Vec<Recommendation> {
-        let gs = self.closure(customer);
-        let mut seen: HashSet<(ItemId, CodeId)> = HashSet::new();
-        let mut out = Vec::new();
-        for (idx, r) in self.rules.iter().enumerate() {
-            if out.len() >= k {
-                break;
-            }
-            if seen.contains(&(r.item, r.code)) {
-                continue;
-            }
-            if r.body.iter().all(|g| gs.contains(g)) {
-                seen.insert((r.item, r.code));
-                out.push(self.recommendation(idx));
-            }
-        }
-        out
-    }
-
-    /// [`recommend_top_k`](Self::recommend_top_k) restricted to heads the
-    /// `target` filter admits. The filter applies **during** selection —
-    /// out-of-target rules are skipped, never counted against `k` — so the
-    /// result equals post-filtering the unbounded ranked walk and keeping
-    /// the first `k` admitted pairs. Returns an empty vector when no
-    /// matching rule's head is in the target (unlike the unfiltered walk,
-    /// which the default rule always satisfies).
-    pub fn recommend_top_k_where(
-        &self,
-        customer: &[Sale],
-        k: usize,
-        target: &TargetFilter,
-    ) -> Vec<Recommendation> {
-        let gs = self.closure(customer);
-        let hierarchy = self.moa.hierarchy();
-        let mut seen: HashSet<(ItemId, CodeId)> = HashSet::new();
-        let mut out = Vec::new();
-        for (idx, r) in self.rules.iter().enumerate() {
-            if out.len() >= k {
-                break;
-            }
-            if !target.matches(hierarchy, r.item, r.code) {
-                continue;
-            }
-            if seen.contains(&(r.item, r.code)) {
-                continue;
-            }
-            if r.body.iter().all(|g| gs.contains(g)) {
-                seen.insert((r.item, r.code));
-                out.push(self.recommendation(idx));
-            }
-        }
-        out
     }
 
     /// Human-readable rendering of rule `idx`, with item names resolved
@@ -372,21 +332,15 @@ impl RuleModel {
     }
 }
 
-/// A fast batch matcher over a [`RuleModel`]: rules are indexed by their
-/// body elements, and the recommendation rule for a customer is found by
-/// posting-list counting instead of scanning the rank order. Use this for
-/// evaluation loops; it implements [`Recommender`] and returns exactly
-/// what [`RuleModel::recommend`] returns.
+/// The recommender over a [`RuleModel`]: MPF selection by posting-list
+/// counting against the model's rule index. A matcher borrows the model
+/// and owns only per-thread scratch and metric handles, so creating one
+/// is cheap; reuse it across a batch of customers to reuse the scratch.
 #[derive(Debug)]
 pub struct Matcher<'a> {
     model: &'a RuleModel,
-    postings: std::collections::HashMap<GenSale, Vec<u32>>,
-    body_len: Vec<u32>,
-    /// Rules with an empty body (they match every customer and never
-    /// appear in a posting list) — in practice just the default rule.
-    empty_body: Vec<u32>,
     scratch: std::cell::RefCell<MatcherScratch>,
-    /// Serving metrics, resolved once at index time so the per-request
+    /// Serving metrics, resolved once at construction so the per-request
     /// path pays one atomic op per signal and no registry lookups.
     latency: pm_obs::LatencyHistogram,
     default_hits: pm_obs::Counter,
@@ -417,39 +371,26 @@ impl MatcherScratch {
                 }
             }
         }
-        self.stamp += 1;
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            // Wrapped: old stamps would collide with the new ones and
+            // revive stale partial counts, so forget them all.
+            self.stamp_val.fill(0);
+            self.stamp = 1;
+        }
     }
 }
 
 impl<'a> Matcher<'a> {
-    /// Index the model's rules.
+    /// A matcher over `model`'s rule index (allocates scratch only).
     pub fn new(model: &'a RuleModel) -> Self {
-        let mut postings: std::collections::HashMap<GenSale, Vec<u32>> =
-            std::collections::HashMap::new();
-        let mut body_len = Vec::with_capacity(model.rules.len());
-        let mut empty_body = Vec::new();
-        for (i, r) in model.rules.iter().enumerate() {
-            body_len.push(r.body.len() as u32);
-            if r.body.is_empty() {
-                empty_body.push(i as u32);
-            }
-            for &g in &r.body {
-                postings.entry(g).or_default().push(i as u32);
-            }
-        }
         let n = model.rules.len();
         Self {
             model,
-            postings,
-            body_len,
-            empty_body,
             scratch: std::cell::RefCell::new(MatcherScratch {
-                stamp: 0,
                 stamp_val: vec![0; n],
                 count: vec![0; n],
-                gs_buf: Vec::new(),
-                gs_set: Vec::new(),
-                matched: Vec::new(),
+                ..MatcherScratch::default()
             }),
             latency: pm_obs::latency("serve.recommend_ns"),
             default_hits: pm_obs::counter("serve.default_rule_hits"),
@@ -462,9 +403,11 @@ impl<'a> Matcher<'a> {
         self.model
     }
 
-    /// Index of the recommendation rule for a customer (same result as
-    /// [`RuleModel::recommendation_rule`]).
+    /// Index of the recommendation rule for a customer: the
+    /// highest-ranked rule whose body generalizes the customer's sales
+    /// (Definition 6).
     pub fn rule_for(&self, customer: &[Sale]) -> usize {
+        let index = &self.model.index;
         let mut scratch = self.scratch.borrow_mut();
         let s = &mut *scratch;
         s.load_closure(&self.model.moa, customer);
@@ -472,7 +415,7 @@ impl<'a> Matcher<'a> {
         let mut best = self.model.rules.len() - 1;
         let mut touched = 0u64;
         for g in &s.gs_set {
-            if let Some(list) = self.postings.get(g) {
+            if let Some(list) = index.postings.get(g) {
                 touched += list.len() as u64;
                 for &ri in list {
                     let i = ri as usize;
@@ -484,7 +427,7 @@ impl<'a> Matcher<'a> {
                         s.count[i] = 0;
                     }
                     s.count[i] += 1;
-                    if s.count[i] == self.body_len[i] {
+                    if s.count[i] == index.body_len[i] {
                         best = i;
                     }
                 }
@@ -497,22 +440,25 @@ impl<'a> Matcher<'a> {
         best
     }
 
-    /// Indexed equivalent of [`RuleModel::recommend_top_k`]: up to `k`
-    /// distinct `(item, code)` pairs in MPF rank order. Unlike
-    /// [`rule_for`](Matcher::rule_for), which stops counting past the
-    /// current best rule, this collects *every* fully-matched rule (the
-    /// k-th answer can rank below the first), sorts the matches back
-    /// into rank order, and applies the same distinct-pair filter as the
-    /// linear scan — so the output is identical element for element.
+    /// Up to `k` recommendations of **distinct** `(item, code)` pairs, in
+    /// MPF rank order of their best matching rule. The paper notes that
+    /// recommending several pairs per customer is just selecting several
+    /// rules (§2, after Definition 4); the first entry equals
+    /// [`Recommender::recommend`]. Unlike [`rule_for`](Matcher::rule_for),
+    /// which stops counting past the current best rule, this collects
+    /// *every* fully-matched rule (the k-th answer can rank below the
+    /// first) and sorts the matches back into rank order.
     pub fn recommend_top_k(&self, customer: &[Sale], k: usize) -> Vec<Recommendation> {
         self.top_k(customer, k, None)
     }
 
-    /// Indexed equivalent of [`RuleModel::recommend_top_k_where`]: the
-    /// target filter applies during selection, after the matched rules
-    /// are sorted back into rank order — identical element for element to
-    /// the linear scan, and empty when no matching rule's head is in the
-    /// target.
+    /// [`recommend_top_k`](Matcher::recommend_top_k) restricted to heads
+    /// the `target` filter admits. The filter applies **during**
+    /// selection — out-of-target rules are skipped, never counted against
+    /// `k` — so the result equals post-filtering the unbounded ranked
+    /// walk and keeping the first `k` admitted pairs. Returns an empty
+    /// vector when no matching rule's head is in the target (unlike the
+    /// unfiltered walk, which the default rule always satisfies).
     pub fn recommend_top_k_where(
         &self,
         customer: &[Sale],
@@ -535,14 +481,15 @@ impl<'a> Matcher<'a> {
         if k == 0 {
             return Vec::new();
         }
+        let index = &self.model.index;
         let mut scratch = self.scratch.borrow_mut();
         let s = &mut *scratch;
         s.load_closure(&self.model.moa, customer);
         s.matched.clear();
-        s.matched.extend_from_slice(&self.empty_body);
+        s.matched.extend_from_slice(&index.empty_body);
         let mut touched = 0u64;
         for g in &s.gs_set {
-            if let Some(list) = self.postings.get(g) {
+            if let Some(list) = index.postings.get(g) {
                 touched += list.len() as u64;
                 for &ri in list {
                     let i = ri as usize;
@@ -551,7 +498,7 @@ impl<'a> Matcher<'a> {
                         s.count[i] = 0;
                     }
                     s.count[i] += 1;
-                    if s.count[i] == self.body_len[i] {
+                    if s.count[i] == index.body_len[i] {
                         s.matched.push(ri);
                     }
                 }
@@ -611,8 +558,10 @@ impl Recommender for RuleModel {
         format!("{mode}{moa}")
     }
 
+    /// One-off recommendation through a fresh [`Matcher`]; build a
+    /// matcher once instead when serving many customers.
     fn recommend(&self, customer: &[Sale]) -> Recommendation {
-        self.recommendation(self.recommendation_rule(customer))
+        Matcher::new(self).recommend(customer)
     }
 
     fn n_rules(&self) -> Option<usize> {
@@ -768,8 +717,17 @@ mod tests {
         assert!(m.explain(d).contains('∅'));
     }
 
+    /// Does rule `i`'s body generalize the customer's sales?
+    fn body_matches(m: &RuleModel, i: usize, customer: &[Sale]) -> bool {
+        let gs: Vec<GenSale> = customer
+            .iter()
+            .flat_map(|s| m.moa().generalizations_of_sale(s))
+            .collect();
+        m.rules()[i].body.iter().all(|g| gs.contains(g))
+    }
+
     #[test]
-    fn matcher_agrees_with_linear_scan() {
+    fn matcher_selects_the_highest_ranked_matching_rule() {
         let m = model(ProfitMode::Profit, true);
         let matcher = Matcher::new(&m);
         let customers: Vec<Vec<Sale>> = vec![
@@ -782,7 +740,9 @@ mod tests {
             vec![],
         ];
         for c in &customers {
-            assert_eq!(matcher.rule_for(c), m.recommendation_rule(c));
+            let idx = matcher.rule_for(c);
+            assert!(body_matches(&m, idx, c));
+            assert!((0..idx).all(|i| !body_matches(&m, i, c)));
             assert_eq!(matcher.recommend(c), m.recommend(c));
         }
         assert_eq!(matcher.name(), m.name());
@@ -814,11 +774,52 @@ mod tests {
         assert_eq!(back.recommend(&c), m.recommend(&c));
     }
 
+    /// A model whose top rule has the two-element body `{a, b}`: a
+    /// customer buying only `a` (or only `b`) leaves it half counted.
+    fn model_with_pair_rule() -> RuleModel {
+        let mut saved = model(ProfitMode::Profit, false).save();
+        let mut pair = saved.rules[0].clone();
+        pair.body = vec![GenSale::Item(ItemId(0)), GenSale::Item(ItemId(1))];
+        saved.rules.insert(0, pair);
+        RuleModel::load(saved)
+    }
+
+    /// After 2^32 requests the count stamp wraps. Partial counts left by
+    /// an earlier customer must not leak into a later one that lands on
+    /// the same stamp value.
+    #[test]
+    fn stamp_wraparound_does_not_revive_stale_counts() {
+        let m = model_with_pair_rule();
+        let a = vec![Sale::new(ItemId(0), CodeId(0), 1)];
+        let b = vec![Sale::new(ItemId(1), CodeId(0), 1)];
+        let fresh = Matcher::new(&m);
+        let (want_rule, want_top) = (fresh.rule_for(&b), fresh.recommend_top_k(&b, 5));
+        assert_ne!(want_rule, 0, "`b` alone must not match the pair rule");
+        assert_eq!(fresh.rule_for(&[a[0], b[0]]), 0);
+
+        for top_k in [false, true] {
+            let matcher = Matcher::new(&m);
+            // Stamp 1: `a` counts the pair rule once.
+            matcher.rule_for(&a);
+            matcher.scratch.borrow_mut().stamp = u32::MAX - 1;
+            // Two requests cross the wrap; `b` then lands where stamp 1
+            // would fall again.
+            matcher.rule_for(&[]);
+            matcher.rule_for(&[]);
+            if top_k {
+                assert_eq!(matcher.recommend_top_k(&b, 5), want_top);
+            } else {
+                assert_eq!(matcher.rule_for(&b), want_rule);
+            }
+        }
+    }
+
     #[test]
     fn top_k_recommendations() {
         let m = model(ProfitMode::Profit, true);
+        let matcher = Matcher::new(&m);
         let c = vec![Sale::new(ItemId(0), CodeId(0), 1)];
-        let top = m.recommend_top_k(&c, 3);
+        let top = matcher.recommend_top_k(&c, 3);
         assert!(!top.is_empty() && top.len() <= 3);
         // First equals the single recommendation.
         assert_eq!(top[0], m.recommend(&c));
@@ -828,8 +829,8 @@ mod tests {
             assert_ne!((w[0].item, w[0].code), (w[1].item, w[1].code));
         }
         // k = 0 yields nothing; huge k is bounded by distinct pairs.
-        assert!(m.recommend_top_k(&c, 0).is_empty());
-        let all = m.recommend_top_k(&c, 100);
+        assert!(matcher.recommend_top_k(&c, 0).is_empty());
+        let all = matcher.recommend_top_k(&c, 100);
         let mut pairs: Vec<_> = all.iter().map(|r| (r.item, r.code)).collect();
         pairs.dedup();
         assert_eq!(pairs.len(), all.len());
@@ -848,13 +849,7 @@ mod tests {
             Sale::new(ItemId(1), CodeId(0), 1),
         ];
         let matching: Vec<usize> = (0..m.rules().len())
-            .filter(|&i| {
-                let gs: Vec<_> = c
-                    .iter()
-                    .flat_map(|s| m.moa().generalizations_of_sale(s))
-                    .collect();
-                m.rules()[i].body.iter().all(|g| gs.contains(g))
-            })
+            .filter(|&i| body_matches(&m, i, &c))
             .collect();
         let distinct: HashSet<(ItemId, CodeId)> = matching
             .iter()
@@ -864,7 +859,7 @@ mod tests {
             matching.len() > distinct.len(),
             "need duplicate head pairs for this test to bite"
         );
-        let all = m.recommend_top_k(&c, 10_000);
+        let all = Matcher::new(&m).recommend_top_k(&c, 10_000);
         assert_eq!(all.len(), distinct.len());
         let got: HashSet<(ItemId, CodeId)> = all.iter().map(|r| (r.item, r.code)).collect();
         assert_eq!(got, distinct);
@@ -880,8 +875,8 @@ mod tests {
     }
 
     /// The targeted walk equals post-filtering the unbounded untargeted
-    /// walk — for both the linear scan and the indexed matcher — and is
-    /// empty (no default-rule fallback) when the target admits no head.
+    /// walk, and is empty (no default-rule fallback) when the target
+    /// admits no head.
     #[test]
     fn targeted_top_k_equals_post_filtering() {
         for prune in [true, false] {
@@ -902,7 +897,7 @@ mod tests {
                 TargetFilter::Codes(vec![CodeId(1)]),
             ];
             for c in &customers {
-                let full = m.recommend_top_k(c, usize::MAX);
+                let full = matcher.recommend_top_k(c, usize::MAX);
                 for t in &targets {
                     for k in [1usize, 2, 100] {
                         let expect: Vec<Recommendation> = full
@@ -911,14 +906,12 @@ mod tests {
                             .take(k)
                             .cloned()
                             .collect();
-                        assert_eq!(m.recommend_top_k_where(c, k, t), expect);
                         assert_eq!(matcher.recommend_top_k_where(c, k, t), expect);
                     }
                 }
                 // A target admitting nothing yields nothing — the default
                 // rule does not leak through the filter.
                 let none = TargetFilter::Items(vec![ItemId(0)]);
-                assert!(m.recommend_top_k_where(c, 5, &none).is_empty());
                 assert!(matcher.recommend_top_k_where(c, 5, &none).is_empty());
             }
         }

@@ -2,8 +2,13 @@
 //! scan selects, for every customer — across all `ProfitMode` × `MoaMode`
 //! combinations, on randomized datasets and randomized customers
 //! (including customers assembled from sales the model never saw
-//! together, and the empty customer).
+//! together, and the empty customer) — both on the built model and on
+//! the same model round-tripped through `save`/`load`, whose rule index
+//! is rebuilt on load.
 
+mod common;
+
+use common::linear_rule;
 use pm_datagen::DatasetConfig;
 use pm_rules::{MinerConfig, MoaMode, ProfitMode, RuleMiner, Support};
 use pm_txn::{CodeId, ItemId, Sale};
@@ -48,14 +53,22 @@ proptest! {
                         ..CutConfig::default()
                     },
                 );
+                let loaded = RuleModel::load(model.save());
                 let matcher = Matcher::new(&model);
+                let reloaded = Matcher::new(&loaded);
+                let check = |c: &[Sale]| -> Result<(), String> {
+                    let want = linear_rule(&model, c);
+                    prop_assert_eq!(matcher.rule_for(c), want);
+                    prop_assert_eq!(reloaded.rule_for(c), want);
+                    prop_assert_eq!(&matcher.recommend(c), &model.recommendation(want));
+                    prop_assert_eq!(&reloaded.recommend(c), &model.recommendation(want));
+                    Ok(())
+                };
 
                 // Real customers: every training transaction's non-target
                 // side.
                 for t in ds.transactions() {
-                    let c = t.non_target_sales();
-                    prop_assert_eq!(matcher.rule_for(c), model.recommendation_rule(c));
-                    prop_assert_eq!(&matcher.recommend(c), &model.recommend(c));
+                    check(t.non_target_sales())?;
                 }
 
                 // Synthetic customers: random sales the model may never
@@ -71,8 +84,7 @@ proptest! {
                             Sale::new(item, CodeId(code), rng.gen_range(1u32..4))
                         })
                         .collect();
-                    prop_assert_eq!(matcher.rule_for(&c), model.recommendation_rule(&c));
-                    prop_assert_eq!(&matcher.recommend(&c), &model.recommend(&c));
+                    check(&c)?;
                 }
             }
         }

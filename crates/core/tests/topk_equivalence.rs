@@ -1,13 +1,17 @@
 //! The indexed [`Matcher::recommend_top_k`] must return exactly what the
-//! linear [`RuleModel::recommend_top_k`] scan returns — same pairs, same
-//! order, same rule indices — for every customer and every `k`, across
-//! `ProfitMode` × `MoaMode` on randomized datasets. This is the guarantee
-//! `pm-serve` relies on to route `top > 1` requests through the batched
-//! indexed path without changing a single response byte.
+//! linear reference scan (`common::linear_top_k`) returns — same pairs,
+//! same order, same rule indices — for every customer and every `k`,
+//! across `ProfitMode` × `MoaMode` on randomized datasets, both on the
+//! built model and on the same model round-tripped through
+//! `save`/`load`, whose rule index is rebuilt on load. The targeted walk
+//! (`recommend_top_k_where`) is held to the same standard per code class.
 
+mod common;
+
+use common::linear_top_k;
 use pm_datagen::DatasetConfig;
 use pm_rules::{MinerConfig, MoaMode, ProfitMode, RuleMiner, Support};
-use pm_txn::{CodeId, ItemId, Sale};
+use pm_txn::{CodeId, ItemId, Sale, TargetFilter};
 use profit_core::{CutConfig, Matcher, RuleModel};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -32,6 +36,9 @@ proptest! {
             .filter(|&i| !catalog.item(i).is_target)
             .collect();
 
+        let targets: Vec<TargetFilter> =
+            (0..2).map(|c| TargetFilter::Codes(vec![CodeId(c)])).collect();
+
         for moa in [MoaMode::Enabled, MoaMode::Disabled] {
             for mode in [ProfitMode::Profit, ProfitMode::Confidence] {
                 let mined = RuleMiner::new(MinerConfig {
@@ -49,14 +56,30 @@ proptest! {
                         ..CutConfig::default()
                     },
                 );
+                let loaded = RuleModel::load(model.save());
                 let matcher = Matcher::new(&model);
+                let reloaded = Matcher::new(&loaded);
 
                 let check = |c: &[Sale]| -> Result<(), String> {
-                    for k in [0usize, 1, 2, 3, 5, 10, 100] {
-                        prop_assert_eq!(
-                            &matcher.recommend_top_k(c, k),
-                            &model.recommend_top_k(c, k)
-                        );
+                    // The first `k` entries of the unbounded walk are the
+                    // walk bounded at `k`: one reference scan per filter.
+                    for t in std::iter::once(None).chain(targets.iter().map(Some)) {
+                        let full = linear_top_k(&model, c, usize::MAX, t);
+                        for k in [0usize, 1, 2, 3, 5, 10, 100] {
+                            let want = &full[..k.min(full.len())];
+                            let (got, got_reloaded) = match t {
+                                None => (
+                                    matcher.recommend_top_k(c, k),
+                                    reloaded.recommend_top_k(c, k),
+                                ),
+                                Some(t) => (
+                                    matcher.recommend_top_k_where(c, k, t),
+                                    reloaded.recommend_top_k_where(c, k, t),
+                                ),
+                            };
+                            prop_assert_eq!(got.as_slice(), want);
+                            prop_assert_eq!(got_reloaded.as_slice(), want);
+                        }
                     }
                     // k = 1 must also agree with the single-answer path.
                     let one = matcher.recommend_top_k(c, 1);

@@ -18,8 +18,10 @@
 //!   wakeup drains every ready request and ships them to a compute
 //!   worker pool in batches of up to `batch`, sharded by a hash of the
 //!   customer's sales; each worker scores its whole batch against one
-//!   `Arc<RuleModel>` snapshot and one [`Matcher`] index per model
-//!   generation instead of one index per connection;
+//!   `Arc<RuleModel>` snapshot per model generation through a
+//!   [`Matcher`] that owns only scratch — the rule index lives in the
+//!   model, built once when the model is built or loaded, never by a
+//!   worker;
 //! * **admission control + load shedding** — at most
 //!   `workers + queue` connections are admitted concurrently; beyond
 //!   that clients get an immediate
@@ -247,8 +249,9 @@ impl From<StoreError> for ServeError {
 /// A model is servable iff it ends with the §3.2 default rule `∅ → g`:
 /// the degraded answer and the matcher's always-matches invariant both
 /// rely on it. Models built by the pipeline always satisfy this, but a
-/// hand-crafted legacy raw-JSON file can violate it — and a rule-less
-/// model used to underflow-panic the degraded path at serve time.
+/// hand-crafted payload sealed into an envelope can violate it — and a
+/// rule-less model used to underflow-panic the degraded path at serve
+/// time.
 fn validate_servable(model: &RuleModel) -> Result<(), String> {
     match model.rules().last() {
         None => Err("model has no rules, not even the default rule ∅ → g".into()),
@@ -257,16 +260,18 @@ fn validate_servable(model: &RuleModel) -> Result<(), String> {
     }
 }
 
-/// Load a model file through the crash-safe store: enveloped files are
-/// checksum-verified, legacy raw-JSON files still load. Every failure —
-/// I/O, torn envelope, bit flip, version skew, JSON parse, a model with
-/// no servable default rule — comes back as a typed, printable
-/// [`ServeError`]; corrupt bytes are never deserialized into a
-/// partially-built model, and an unservable model is rejected here
-/// instead of panicking the degraded path at serve time.
+/// Load a model file through the crash-safe store: the envelope is
+/// checksum-verified, and a file without one (raw JSON included) is
+/// rejected. Every failure — I/O, missing or torn envelope, bit flip,
+/// version skew, JSON parse, a model with no servable default rule —
+/// comes back as a typed, printable [`ServeError`]; corrupt bytes are
+/// never deserialized into a partially-built model, and an unservable
+/// model is rejected here instead of panicking the degraded path at
+/// serve time. The returned model carries its rule index, built here,
+/// off the serving path, so no compute worker indexes it.
 pub fn load_model(path: impl AsRef<Path>) -> Result<RuleModel, ServeError> {
     let path = path.as_ref();
-    let (payload, provenance) = pm_store::load_model_file(path)?;
+    let payload = pm_store::load_model_file(path)?;
     let text = String::from_utf8(payload).map_err(|e| ServeError::Model {
         path: path.display().to_string(),
         err: format!("payload is not UTF-8: {e}"),
@@ -275,10 +280,6 @@ pub fn load_model(path: impl AsRef<Path>) -> Result<RuleModel, ServeError> {
         path: path.display().to_string(),
         err: e.to_string(),
     })?;
-    if provenance == pm_store::Provenance::LegacyRaw {
-        pm_obs::counter("serve.legacy_model_loads").inc();
-        pm_obs::info!("serve.legacy_model", path = path.display());
-    }
     let model = RuleModel::load(saved);
     validate_servable(&model).map_err(|why| ServeError::Degenerate {
         path: path.display().to_string(),
@@ -1679,27 +1680,19 @@ fn read_socket(conn: &mut Conn, max_line: usize) {
 }
 
 /// Compute worker: receives request batches, scores each batch against
-/// one model snapshot and one matcher index per generation. Rebuilt on
-/// reload (generation bump) and after any compute panic (the matcher's
-/// scratch is suspect after an unwind).
+/// one model snapshot per generation. The model carries its rule index
+/// (built once, by whoever built or loaded the model), so a worker only
+/// allocates fresh matcher scratch — on reload (generation bump) and
+/// after any compute panic (the scratch is suspect after an unwind).
 fn compute_worker_loop(shared: &Arc<Shared>, rx: &Receiver<Vec<Job>>) {
     let mut pending: VecDeque<Job> = VecDeque::new();
     let mut touched = vec![false; shared.reactors.len()];
     'model: loop {
         let (generation, model) = shared.handle.snapshot();
-        // An index that cannot even be built (a pathological reloaded
-        // model) degrades every answer instead of killing the worker.
-        let matcher = match catch_unwind(AssertUnwindSafe(|| Matcher::new(&model))) {
-            Ok(m) => Some(m),
-            Err(_) => {
-                shared.metrics.worker_panics.inc();
-                pm_obs::error!("serve.index_build_panic", generation = generation);
-                None
-            }
-        };
+        let matcher = Matcher::new(&model);
         loop {
             while let Some(job) = pending.pop_front() {
-                let rebuild = run_job(shared, &model, matcher.as_ref(), job, &mut touched);
+                let rebuild = run_job(shared, &matcher, job, &mut touched);
                 if rebuild {
                     wake_touched(shared, &mut touched);
                     continue 'model;
@@ -1738,14 +1731,9 @@ fn wake_touched(shared: &Shared, touched: &mut [bool]) {
 
 /// Score one job and send its completion. Returns true when the matcher
 /// must be rebuilt before the next job.
-fn run_job(
-    shared: &Shared,
-    model: &RuleModel,
-    matcher: Option<&Matcher<'_>>,
-    job: Job,
-    touched: &mut [bool],
-) -> bool {
+fn run_job(shared: &Shared, matcher: &Matcher<'_>, job: Job, touched: &mut [bool]) -> bool {
     let _timer = shared.metrics.latency.time();
+    let model = matcher.model();
     // Outer isolation: a panic outside the compute section (validation,
     // rendering) costs one answer, not the worker thread.
     let outcome = catch_unwind(AssertUnwindSafe(|| {
@@ -1763,7 +1751,7 @@ fn run_job(
                 }
             }
         };
-        recommend_with_degradation(shared, model, matcher, &job.sales, job.top, target.as_ref())
+        recommend_with_degradation(shared, matcher, &job.sales, job.top, target.as_ref())
     }));
     let (line, rebuild) = outcome.unwrap_or_else(|_| {
         shared.metrics.worker_panics.inc();
@@ -1796,21 +1784,20 @@ fn run_job(
 /// nothing when the matcher is unhealthy.
 fn recommend_with_degradation(
     shared: &Shared,
-    model: &RuleModel,
-    matcher: Option<&Matcher<'_>>,
+    matcher: &Matcher<'_>,
     sales: &[pm_txn::Sale],
     top: usize,
     target: Option<&TargetFilter>,
 ) -> (String, bool) {
+    let model = matcher.model();
     let start = Instant::now();
     let computed = catch_unwind(AssertUnwindSafe(|| {
         pm_store::faults::apply_compute_panic();
         pm_store::faults::apply_compute_delay();
-        let m = matcher.expect("index build panicked; degrading");
         match target {
-            Some(t) => m.recommend_top_k_where(sales, top, t),
-            None if top == 1 => vec![m.recommend(sales)],
-            None => m.recommend_top_k(sales, top),
+            Some(t) => matcher.recommend_top_k_where(sales, top, t),
+            None if top == 1 => vec![matcher.recommend(sales)],
+            None => matcher.recommend_top_k(sales, top),
         }
     }));
     let elapsed = start.elapsed();
@@ -1823,7 +1810,7 @@ fn recommend_with_degradation(
         }
         Err(_) => {
             // The matcher's scratch state is suspect after an unwind;
-            // answer from the default rule and rebuild the index.
+            // answer from the default rule and start fresh scratch.
             pm_obs::error!("serve.matcher_panic");
             (default_rule_recs(model), true, "matcher_panic", true)
         }

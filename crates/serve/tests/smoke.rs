@@ -424,21 +424,23 @@ fn slow_and_oversized_clients_are_disconnected_not_leaked() {
 }
 
 #[test]
-fn legacy_raw_json_model_files_still_serve() {
+fn raw_json_model_files_are_rejected() {
     let fix = fixture();
-    let dir = tmp_dir("legacy");
-    let path = dir.join("legacy-model.json");
-    // A pre-envelope model file: raw JSON straight on disk.
+    let dir = tmp_dir("raw");
+    let path = dir.join("raw-model.json");
+    // A model's JSON straight on disk, without the sealed envelope.
     std::fs::write(&path, fix.json.as_bytes()).unwrap();
-    let server = Server::start("127.0.0.1:0", &path, ServeConfig::default()).unwrap();
-    let mut c = Client::connect(server.addr());
-    let customer = &fix.customers[4];
-    assert_eq!(
-        c.send(&recommend_line(customer)),
-        expected_line(&fix.model, customer)
+    let err = Server::start("127.0.0.1:0", &path, ServeConfig::default())
+        .err()
+        .expect("an unsealed model file must not serve");
+    assert!(
+        matches!(
+            err,
+            pm_serve::ServeError::Store(pm_store::StoreError::BadMagic { .. })
+        ),
+        "{err}"
     );
-    assert_ok(&c.send(r#"{"op":"shutdown"}"#));
-    server.join();
+    assert!(err.to_string().contains("bad magic"), "{err}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -459,7 +461,7 @@ fn top_k_recommendations_match_the_offline_model() {
         r#"{{"op":"recommend","sales":[{}],"top":3}}"#,
         sales.join(",")
     ));
-    let recs = fix.model.recommend_top_k(customer, 3);
+    let recs = Matcher::new(&fix.model).recommend_top_k(customer, 3);
     let want = render(&obj(vec![
         ("ok", Value::Bool(true)),
         ("degraded", Value::Bool(false)),
@@ -485,6 +487,7 @@ fn targeted_recommends_match_the_offline_model_and_bad_specs_error() {
 
     // Pick a code the model actually recommends somewhere, so the
     // byte-equality sweep below exercises non-empty targeted answers.
+    let matcher = Matcher::new(&fix.model);
     let moa = fix.model.moa();
     let (spec, target, code) = (0u16..4)
         .map(|code| {
@@ -495,7 +498,7 @@ fn targeted_recommends_match_the_offline_model_and_bad_specs_error() {
         .find(|(_, t, _)| {
             fix.customers
                 .iter()
-                .any(|cu| !fix.model.recommend_top_k_where(cu, 3, t).is_empty())
+                .any(|cu| !matcher.recommend_top_k_where(cu, 3, t).is_empty())
         })
         .expect("some promotion code is recommendable");
     let mut saw_nonempty = false;
@@ -508,7 +511,7 @@ fn targeted_recommends_match_the_offline_model_and_bad_specs_error() {
             r#"{{"op":"recommend","sales":[{}],"top":3,"target":"{spec}"}}"#,
             sales.join(",")
         ));
-        let recs = fix.model.recommend_top_k_where(customer, 3, &target);
+        let recs = matcher.recommend_top_k_where(customer, 3, &target);
         saw_nonempty |= !recs.is_empty();
         for r in &recs {
             assert_eq!(r.code.0, code, "target {spec} admits only that code");

@@ -339,40 +339,17 @@ pub fn read_file(path: impl AsRef<Path>) -> Result<Vec<u8>, StoreError> {
     Ok(bytes)
 }
 
-/// Where a loaded model file's bytes came from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Provenance {
-    /// A `PMDL`-enveloped file; length and checksum were verified.
-    Sealed,
-    /// A pre-envelope raw JSON model file (accepted for compatibility;
-    /// carries no integrity protection).
-    LegacyRaw,
-}
-
 /// Write `payload` to `path` as a sealed envelope, atomically.
 pub fn save_sealed(path: impl AsRef<Path>, payload: &[u8]) -> Result<(), StoreError> {
     write_atomic(path, &envelope::seal(payload))
 }
 
-/// Load a model file: enveloped files are verified (magic, version,
-/// length, CRC) and unwrapped; files that do not start with the magic
-/// are returned as-is, flagged [`Provenance::LegacyRaw`], so model files
-/// written before the envelope existed keep loading.
-///
-/// A file that *does* start with the magic — or with a truncated prefix
-/// of it, which an envelope torn inside its first four bytes leaves
-/// behind — gets no legacy fallback: it is an error, never silently
-/// reparsed. (No legacy JSON model can begin with a `PMDL` prefix, and
-/// an empty file is valid as neither, so the sniff is unambiguous.)
-pub fn load_model_file(path: impl AsRef<Path>) -> Result<(Vec<u8>, Provenance), StoreError> {
+/// Load a model file: the envelope is verified (magic, version, length,
+/// CRC) and its payload returned. Every model file is sealed; a file
+/// without the envelope — raw JSON included — is an error, never parsed.
+pub fn load_model_file(path: impl AsRef<Path>) -> Result<Vec<u8>, StoreError> {
     let bytes = read_file(path)?;
-    let head = &bytes[..bytes.len().min(envelope::MAGIC.len())];
-    if envelope::MAGIC.starts_with(head) {
-        let payload = envelope::open(&bytes)?;
-        Ok((payload.to_vec(), Provenance::Sealed))
-    } else {
-        Ok((bytes, Provenance::LegacyRaw))
-    }
+    Ok(envelope::open(&bytes)?.to_vec())
 }
 
 #[cfg(test)]
@@ -450,20 +427,20 @@ mod tests {
         let dir = tmp_dir("sealed");
         let p = dir.join("model.pm");
         save_sealed(&p, b"{\"rules\":[]}").unwrap();
-        let (payload, prov) = load_model_file(&p).unwrap();
-        assert_eq!(payload, b"{\"rules\":[]}");
-        assert_eq!(prov, Provenance::Sealed);
+        assert_eq!(load_model_file(&p).unwrap(), b"{\"rules\":[]}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn legacy_raw_json_still_loads() {
-        let dir = tmp_dir("legacy");
-        let p = dir.join("old-model.json");
-        std::fs::write(&p, b"{\"catalog\":{}}").unwrap();
-        let (payload, prov) = load_model_file(&p).unwrap();
-        assert_eq!(payload, b"{\"catalog\":{}}");
-        assert_eq!(prov, Provenance::LegacyRaw);
+    fn raw_json_model_files_are_rejected() {
+        let dir = tmp_dir("raw");
+        let p = dir.join("raw-model.json");
+        std::fs::write(&p, b"{\"catalog\":{},\"rules\":[]}").unwrap();
+        let err = load_model_file(&p).unwrap_err();
+        assert!(
+            matches!(err, StoreError::BadMagic { found } if found == *b"{\"ca"),
+            "{err:?}"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -29,9 +29,7 @@ fn good_file_round_trips_byte_identically() {
     assert_eq!(on_disk, envelope::seal(PAYLOAD));
     assert_eq!(on_disk.len(), HEADER_LEN + PAYLOAD.len());
     // And the load path returns the exact payload bytes.
-    let (payload, prov) = load_model_file(&p).unwrap();
-    assert_eq!(payload, PAYLOAD);
-    assert_eq!(prov, pm_store::Provenance::Sealed);
+    assert_eq!(load_model_file(&p).unwrap(), PAYLOAD);
     // Sealing the same payload twice produces identical files.
     let p2 = dir.join("model2.pm");
     save_sealed(&p2, PAYLOAD).unwrap();
@@ -77,15 +75,15 @@ fn truncation_at_every_offset_is_detected() {
         assert!(!err.to_string().is_empty());
     }
     faults::set_short_read_at(None);
-    assert_eq!(load_model_file(&p).unwrap().0, PAYLOAD);
+    assert_eq!(load_model_file(&p).unwrap(), PAYLOAD);
 
     // The same tears written to disk for real (no read hook) behave
     // identically — the hook faithfully models actual truncation.
     for k in [0, 2, HEADER_LEN - 1, HEADER_LEN, HEADER_LEN + 11] {
         let torn = dir.join(format!("torn-{k}.pm"));
         std::fs::write(&torn, &std::fs::read(&p).unwrap()[..k]).unwrap();
-        // Even a tear inside the magic is an error, not a "legacy" file:
-        // no legacy JSON model starts with a PMDL prefix (or is empty).
+        // Even a tear inside the magic is an error: every model file
+        // must carry the whole envelope.
         load_model_file(&torn).expect_err("on-disk truncation must not load");
     }
     assert!(full > HEADER_LEN + 11);
@@ -113,7 +111,7 @@ fn flipped_payload_byte_is_a_checksum_mismatch() {
     // With the fault off the same file is fine — the disk bytes were
     // never touched.
     faults::set_corrupt_byte_at(None);
-    assert_eq!(load_model_file(&p).unwrap().0, PAYLOAD);
+    assert_eq!(load_model_file(&p).unwrap(), PAYLOAD);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -148,8 +146,8 @@ fn wrong_version_and_wrong_magic_are_typed_errors() {
         StoreError::UnsupportedVersion { found: 0, .. }
     ));
 
-    // A wrong magic routes to the legacy-raw path only via
-    // `load_model_file`; `envelope::open` itself reports BadMagic.
+    // A wrong magic is BadMagic, both from `envelope::open` and from
+    // the model-file loader.
     let mut bad = sealed;
     bad[0] = b'X';
     let err = envelope::open(&bad).unwrap_err();
@@ -157,6 +155,12 @@ fn wrong_version_and_wrong_magic_are_typed_errors() {
         matches!(err, StoreError::BadMagic { found } if found == *b"XMDL"),
         "{err:?}"
     );
+    let p = dir.join("bad-magic.pm");
+    write_atomic(&p, &bad).unwrap();
+    assert!(matches!(
+        load_model_file(&p).unwrap_err(),
+        StoreError::BadMagic { found } if found == *b"XMDL"
+    ));
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -192,7 +196,7 @@ fn torn_write_never_damages_the_previous_file() {
         assert!(err.to_string().contains("torn write"), "{err}");
         // Old file intact, loadable, and no temp litter left behind.
         assert_eq!(std::fs::read(&p).unwrap(), before);
-        assert_eq!(load_model_file(&p).unwrap().0, PAYLOAD);
+        assert_eq!(load_model_file(&p).unwrap(), PAYLOAD);
         let extras: Vec<String> = std::fs::read_dir(&dir)
             .unwrap()
             .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
@@ -207,7 +211,7 @@ fn torn_write_never_damages_the_previous_file() {
     // Fault off: the replacement goes through and reads back exactly.
     faults::set_torn_write_at(None);
     save_sealed(&p, new_payload).unwrap();
-    assert_eq!(load_model_file(&p).unwrap().0, new_payload);
+    assert_eq!(load_model_file(&p).unwrap(), new_payload);
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -9,13 +9,17 @@
 //! * the mined rule set: same rules, same order, same `gen_index`, same
 //!   counts, bit-identical `f64` profits;
 //! * the default rule and the complete MPF-ranked list per profit mode;
-//! * the per-customer recommendation (indexed matcher, linear-scan model
-//!   and oracle ranked-list scan must all pick the same rule).
+//! * the per-customer recommendation (indexed matcher, the linear
+//!   reference scan over the model, and the oracle's ranked-list scan
+//!   must all pick the same rule).
 //!
 //! [`compare_tree`] is a separate axis for §4.1: the covering tree's
 //! survivors, parents and covers against the oracle's pairwise tree.
 
 #![allow(dead_code)]
+
+#[path = "../../crates/core/tests/common/mod.rs"]
+mod linear;
 
 use pm_oracle::{Oracle, OracleConfig, OracleProfitMode, OracleRule, OracleTree};
 use pm_rules::{
@@ -443,11 +447,11 @@ fn oracle_recommend<'a>(
 }
 
 /// For every training basket (plus the empty basket), the serving model —
-/// indexed matcher and linear scan — must select the same rule the oracle
-/// selects from its complete ranked list. Rule *identity* is compared
-/// (body, head, counts, profit bits), not list position: the optimized
-/// model has dominance-removed rules the oracle keeps, which §4.1 proves
-/// can never be selected.
+/// indexed matcher and linear reference scan — must select the same rule
+/// the oracle selects from its complete ranked list. Rule *identity* is
+/// compared (body, head, counts, profit bits), not list position: the
+/// optimized model has dominance-removed rules the oracle keeps, which
+/// §4.1 proves can never be selected.
 fn compare_recommendations(
     data: &TransactionSet,
     oracle: &Oracle,
@@ -470,10 +474,10 @@ fn compare_recommendations(
         .chain(data.transactions().iter().map(|t| t.non_target_sales()));
     for (ci, sales) in baskets.enumerate() {
         let idx = matcher.rule_for(sales);
-        if idx != model.recommendation_rule(sales) {
+        let linear = linear::linear_rule(&model, sales);
+        if idx != linear {
             return Err(format!(
-                "customer {ci}: matcher picked rule {idx}, linear scan {}",
-                model.recommendation_rule(sales)
+                "customer {ci}: matcher picked rule {idx}, linear scan {linear}"
             ));
         }
         let mr = &model.rules()[idx];

@@ -1,5 +1,8 @@
 //! Property-based tests (proptest) over the core invariants.
 
+#[path = "../crates/core/tests/common/mod.rs"]
+mod linear;
+
 use profit_mining::prelude::*;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -166,7 +169,7 @@ proptest! {
         for t in data.transactions() {
             prop_assert_eq!(
                 matcher.rule_for(t.non_target_sales()),
-                model.recommendation_rule(t.non_target_sales())
+                linear::linear_rule(&model, t.non_target_sales())
             );
         }
     }
