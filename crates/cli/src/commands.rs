@@ -7,7 +7,7 @@ use pm_eval::runner::{run_sweep, EvalConfig};
 use pm_rules::{MinerConfig, MoaMode, ProfitMode, RuleMiner, Support};
 use pm_store::log::SalesLog;
 use pm_txn::{
-    decode_stream_record, encode_stream_record, parse_item_floors, Catalog, CatalogDelta,
+    encode_stream_record, parse_item_floors, replay_stream_records, Catalog, CatalogDelta,
     Hierarchy, ItemId, QuantityModel, Sale, TargetFilter, Transaction, TransactionSet,
 };
 use profit_core::{
@@ -207,30 +207,18 @@ fn decode_batch(payload: &[u8]) -> Result<Vec<Transaction>, String> {
     serde_json::from_str(text).map_err(|e| e.to_string())
 }
 
-/// Decode one sales-log record: either a legacy bare transaction array
-/// or an object record carrying a catalog delta alongside the batch.
-fn decode_record(payload: &[u8]) -> Result<(Option<CatalogDelta>, Vec<Transaction>), String> {
-    let text = std::str::from_utf8(payload).map_err(|e| e.to_string())?;
-    decode_stream_record(text)
-}
-
-/// Replay every retained log record onto `data`, growing the catalog
-/// where a record carries a delta. Record indices in errors are
-/// absolute stream positions (`first_abs` = the log's compaction base).
+/// Replay every retained log record onto `data` (see
+/// [`replay_stream_records`]), naming a failing record by its absolute
+/// stream position.
 fn replay_log(
     data: &mut TransactionSet,
     records: &[Vec<u8>],
     first_abs: u64,
     log_path: &str,
+    applied: impl FnMut(&TransactionSet),
 ) -> Result<(), CliError> {
-    for (i, payload) in records.iter().enumerate() {
-        let abs = first_abs + i as u64;
-        let (delta, batch) = decode_record(payload)
-            .map_err(|e| CliError::Runtime(format!("{log_path}: record {abs}: {e}")))?;
-        data.apply_stream_record(delta.as_ref(), &batch)
-            .map_err(|e| CliError::Runtime(format!("{log_path}: record {abs}: {e}")))?;
-    }
-    Ok(())
+    replay_stream_records(data, records, first_abs, applied)
+        .map_err(|(abs, e)| CliError::Runtime(format!("{log_path}: record {abs}: {e}")))
 }
 
 /// `fit`: train and save a recommender.
@@ -263,17 +251,9 @@ pub fn fit(args: &ArgMap) -> Result<String, CliError> {
             }
             let mut inc = pipeline.into_incremental();
             let mut model = inc.fit(&data);
-            for (i, payload) in recovery.records.iter().enumerate() {
-                let abs = recovery.base + i as u64;
-                let (delta, batch) = decode_record(payload)
-                    .map_err(|e| CliError::Runtime(format!("{log_path}: record {abs}: {e}")))?;
-                if batch.is_empty() && delta.as_ref().is_none_or(|d| d.is_empty()) {
-                    continue;
-                }
-                data.apply_stream_record(delta.as_ref(), &batch)
-                    .map_err(|e| CliError::Runtime(format!("{log_path}: record {abs}: {e}")))?;
-                model = inc.update(&data);
-            }
+            replay_log(&mut data, &recovery.records, recovery.base, log_path, |d| {
+                model = inc.update(d)
+            })?;
             (model, recovery.records.len())
         }
     };
@@ -333,7 +313,13 @@ pub fn ingest(args: &ArgMap) -> Result<String, CliError> {
     }
     // Replay what the log already holds so the new batch is validated at
     // its actual stream position, not against the base dataset alone.
-    replay_log(&mut data, &recovery.records, recovery.base, log_path)?;
+    replay_log(
+        &mut data,
+        &recovery.records,
+        recovery.base,
+        log_path,
+        |_| {},
+    )?;
     let batch: Vec<Transaction> = decode_batch(read(batch_path)?.as_bytes())
         .map_err(|e| CliError::Runtime(format!("{batch_path}: {e}")))?;
     let delta: Option<CatalogDelta> =
@@ -437,7 +423,7 @@ pub fn checkpoint(args: &ArgMap) -> Result<String, CliError> {
     };
     let first_abs = recovery.base + skip as u64;
     let tail = &recovery.records[skip..];
-    replay_log(&mut data, tail, first_abs, log_path)?;
+    replay_log(&mut data, tail, first_abs, log_path, |_| {})?;
     // One update brings model and caches to the full stream; with an
     // empty tail it just re-assembles from the warm caches.
     let model = inc.update(&data);

@@ -134,8 +134,8 @@ USAGE
   latency p50/p95/p99.
 
   serve runs a line-delimited-JSON TCP daemon over a fitted model:
-  an event-driven readiness loop (--io-threads reactors, epoll with a
-  portable poll fallback) feeding a compute pool (--workers) in batches
+  an event-driven readiness loop (--io-threads epoll reactors, Linux
+  only) feeding a compute pool (--workers) in batches
   of up to --batch requests per model snapshot, bounded admission with
   load shedding, per-request timeouts with a flagged degraded mode (the
   §3.2 default rule) when the matcher errors or blows the deadline, and
@@ -640,7 +640,6 @@ mod tests {
     /// (reporting the truncation) and the stream continues cleanly.
     #[test]
     fn ingest_recovers_a_torn_log_tail() {
-        let _guard = pm_store::faults::test_lock();
         let dir = std::env::temp_dir().join(format!("pm-cli-torn-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let full = dir.join("full.json").display().to_string();

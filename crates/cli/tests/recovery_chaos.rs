@@ -81,7 +81,6 @@ fn model_json(m: &RuleModel) -> String {
 /// concatenated stream — a crash can cost a retry, never data.
 #[test]
 fn crash_point_matrix_recovers_byte_identically() {
-    let _guard = pm_store::faults::test_lock();
     let dir = tmp_dir("matrix");
     let full = dir.join("full.json").display().to_string();
     let head = dir.join("head.json").display().to_string();

@@ -10,10 +10,9 @@
 //!   object per line, one response object per line, over plain TCP, so
 //!   `netcat` is a complete client;
 //! * **event-driven multiplexing** — `io_threads` reactor threads run a
-//!   readiness loop (epoll, with a portable `poll(2)` fallback) over
-//!   non-blocking sockets with per-connection read/write buffers and
-//!   incremental line framing; a parked connection costs a slab slot,
-//!   not a thread;
+//!   readiness loop (epoll; Linux only) over non-blocking sockets with
+//!   per-connection read/write buffers and incremental line framing; a
+//!   parked connection costs a slab slot, not a thread;
 //! * **request batching + customer-keyed sharding** — each reactor
 //!   wakeup drains every ready request and ships them to a compute
 //!   worker pool in batches of up to `batch`, sharded by a hash of the
@@ -64,8 +63,10 @@
 //!   it; restart restores the checkpoint and replays only the log tail,
 //!   arriving at the same bytes as a full replay (DESIGN.md §17).
 //!
-//! Fault injection for all of the above lives in `pm_store::faults`;
-//! the integration tests drive every fault class through a live daemon.
+//! Fault injection for all of the above lives in `pm_store::faults`.
+//! Every daemon thread fires the faults armed on the thread that
+//! started the daemon, so the integration tests drive every fault class
+//! through their own live daemon, in parallel.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
@@ -75,7 +76,7 @@ pub mod protocol;
 use pm_store::log::SalesLog;
 use pm_store::StoreError;
 use pm_txn::{
-    decode_stream_record, encode_stream_record, CatalogDelta, TargetFilter, Transaction,
+    encode_stream_record, replay_stream_records, CatalogDelta, TargetFilter, Transaction,
     TransactionSet,
 };
 use polling::{Event, Events, Poller};
@@ -423,6 +424,9 @@ struct Shared {
     ingest: Option<Mutex<IngestState>>,
     metrics: Metrics,
     reactors: Vec<Arc<ReactorShared>>,
+    /// The fault handle of the thread that started the daemon,
+    /// installed on every daemon thread (see [`Shared::spawn`]).
+    faults: Arc<pm_store::faults::Faults>,
 }
 
 impl Shared {
@@ -435,6 +439,21 @@ impl Shared {
         for r in &self.reactors {
             r.wake();
         }
+    }
+
+    /// Spawn a named daemon thread that fires the faults armed on the
+    /// thread that started the daemon: a test's injected faults reach
+    /// its own daemon and no other.
+    fn spawn<T: Send + 'static>(
+        &self,
+        name: String,
+        f: impl FnOnce() -> T + Send + 'static,
+    ) -> std::io::Result<std::thread::JoinHandle<T>> {
+        let faults = Arc::clone(&self.faults);
+        std::thread::Builder::new().name(name).spawn(move || {
+            pm_store::faults::install(faults);
+            f()
+        })
     }
 }
 
@@ -599,24 +618,13 @@ impl Server {
         }
 
         // Replay `records` (absolute indices from `first_abs`) onto `data`.
-        let replay = |data: &mut TransactionSet,
-                      records: &[Vec<u8>],
-                      first_abs: u64|
-         -> Result<(), ServeError> {
-            for (i, payload) in records.iter().enumerate() {
-                let abs = first_abs + i as u64;
-                let at = || format!("{} record {abs}", log_path.display());
-                let (delta, batch) = std::str::from_utf8(payload)
-                    .map_err(|e| e.to_string())
-                    .and_then(decode_stream_record)
-                    .map_err(|err| ServeError::Model { path: at(), err })?;
-                data.apply_stream_record(delta.as_ref(), &batch)
-                    .map_err(|e| ServeError::Model {
-                        path: at(),
-                        err: e.to_string(),
-                    })?;
-            }
-            Ok(())
+        let replay = |data: &mut TransactionSet, records: &[Vec<u8>], first_abs: u64| {
+            replay_stream_records(data, records, first_abs, |_| {}).map_err(|(abs, err)| {
+                ServeError::Model {
+                    path: format!("{} record {abs}", log_path.display()),
+                    err,
+                }
+            })
         };
 
         // Try the checkpoint. Corruption (unreadable file, bad payload)
@@ -776,6 +784,7 @@ impl Server {
             ingest: ingest.map(Mutex::new),
             metrics,
             reactors,
+            faults: pm_store::faults::current(),
         });
 
         let spawn_err = |e: std::io::Error, what: &str| ServeError::Net {
@@ -792,11 +801,12 @@ impl Server {
         for w in 0..n_workers {
             let (tx, rx) = std::sync::mpsc::channel::<Vec<Job>>();
             worker_txs.push(tx);
-            let shared = Arc::clone(&shared);
+            let sh = Arc::clone(&shared);
             threads.push(
-                std::thread::Builder::new()
-                    .name(format!("pm-serve-worker-{w}"))
-                    .spawn(move || compute_worker_loop(&shared, &rx))
+                shared
+                    .spawn(format!("pm-serve-worker-{w}"), move || {
+                        compute_worker_loop(&sh, &rx)
+                    })
                     .map_err(|e| spawn_err(e, "spawn worker"))?,
             );
         }
@@ -805,23 +815,25 @@ impl Server {
         // streaming ingests off the serving path, one job at a time.
         let (reload_tx, reload_rx) = std::sync::mpsc::channel::<ExecJob>();
         {
-            let shared = Arc::clone(&shared);
+            let sh = Arc::clone(&shared);
             threads.push(
-                std::thread::Builder::new()
-                    .name("pm-serve-reload".into())
-                    .spawn(move || control_executor_loop(&shared, &reload_rx))
+                shared
+                    .spawn("pm-serve-reload".into(), move || {
+                        control_executor_loop(&sh, &reload_rx)
+                    })
                     .map_err(|e| spawn_err(e, "spawn reload executor"))?,
             );
         }
 
         for id in 0..io_threads {
-            let shared = Arc::clone(&shared);
+            let sh = Arc::clone(&shared);
             let worker_txs = worker_txs.clone();
             let reload_tx = reload_tx.clone();
             threads.push(
-                std::thread::Builder::new()
-                    .name(format!("pm-serve-io-{id}"))
-                    .spawn(move || Reactor::new(shared, id, worker_txs, reload_tx).run())
+                shared
+                    .spawn(format!("pm-serve-io-{id}"), move || {
+                        Reactor::new(sh, id, worker_txs, reload_tx).run()
+                    })
                     .map_err(|e| spawn_err(e, "spawn reactor"))?,
             );
         }
@@ -830,11 +842,12 @@ impl Server {
         drop(reload_tx);
 
         {
-            let shared = Arc::clone(&shared);
+            let sh = Arc::clone(&shared);
             threads.push(
-                std::thread::Builder::new()
-                    .name("pm-serve-acceptor".into())
-                    .spawn(move || acceptor_loop(&shared, &listener))
+                shared
+                    .spawn("pm-serve-acceptor".into(), move || {
+                        acceptor_loop(&sh, &listener)
+                    })
                     .map_err(|e| spawn_err(e, "spawn acceptor"))?,
             );
         }
@@ -2067,9 +2080,8 @@ fn handle_reload(shared: &Shared, path: Option<String>) -> String {
     // Dedicated thread: model validation is unwind-isolated, so a
     // panicking deserializer degrades to a reload failure, not a dead
     // executor.
-    let loaded = std::thread::Builder::new()
-        .name("pm-serve-reload-validate".into())
-        .spawn({
+    let loaded = shared
+        .spawn("pm-serve-reload-validate".into(), {
             let target = target.clone();
             move || load_model(&target)
         })

@@ -1,12 +1,10 @@
 //! Regression tests for the event-driven engine and the degraded-path
 //! panic-safety sweep: rule-less model rejection, per-connection panic
 //! isolation, consistent (generation, rules) reporting under reload,
-//! non-UTF-8 request handling, response ordering under pipelining, and
-//! the portable poll(2) fallback backend.
+//! non-UTF-8 request handling, and response ordering under pipelining.
 //!
-//! Every test takes `pm_store::faults::test_lock()` so that the
-//! process-global fault hooks (and the backend env var) never leak
-//! between concurrently scheduled tests in this binary.
+//! Tests run concurrently, each against its own daemon; a fault a test
+//! arms reaches only the daemons it started (`pm_store::faults`).
 
 use pm_datagen::DatasetConfig;
 use pm_rules::{MinerConfig, Support};
@@ -140,7 +138,6 @@ fn json_u64(line: &str, key: &str) -> u64 {
 /// startup and at reload, and the old model keeps serving.
 #[test]
 fn rule_less_models_are_rejected_at_startup_and_reload() {
-    let _guard = faults::test_lock();
     let fix = fixture();
     let dir = tmp_dir("ruleless");
 
@@ -210,7 +207,6 @@ fn rule_less_models_are_rejected_at_startup_and_reload() {
 /// counted under `serve.worker_panics`, and the daemon keeps answering.
 #[test]
 fn injected_handle_panic_is_isolated_counted_and_survivable() {
-    let _guard = faults::test_lock();
     let fix = fixture();
     let dir = tmp_dir("panic");
     let path = sealed_model_file(&dir, "model.pm", fix);
@@ -258,7 +254,6 @@ fn injected_handle_panic_is_isolated_counted_and_survivable() {
 /// report one coherent snapshot pair.
 #[test]
 fn ping_reports_consistent_generation_rules_pair_during_reload() {
-    let _guard = faults::test_lock();
     let fix_a = fixture();
     let fix_b = fixture_b();
     let rules_a = fix_a.model.rules().len() as u64;
@@ -326,7 +321,6 @@ fn ping_reports_consistent_generation_rules_pair_during_reload() {
 /// cleanly.
 #[test]
 fn non_utf8_request_bytes_get_an_error_line_and_are_counted() {
-    let _guard = faults::test_lock();
     let fix = fixture();
     let dir = tmp_dir("utf8");
     let path = sealed_model_file(&dir, "model.pm", fix);
@@ -362,7 +356,6 @@ fn non_utf8_request_bytes_get_an_error_line_and_are_counted() {
 /// inline ops (ping) interleave with pool-computed recommendations.
 #[test]
 fn pipelined_requests_flush_in_request_order() {
-    let _guard = faults::test_lock();
     let fix = fixture();
     let dir = tmp_dir("pipeline");
     let path = sealed_model_file(&dir, "model.pm", fix);

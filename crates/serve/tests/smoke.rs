@@ -4,8 +4,9 @@
 //! blown deadlines, corrupt reloads — asserting the daemon stays up and
 //! every answer is either correct or explicitly flagged degraded.
 //!
-//! Fault-injecting tests serialize on `pm_store::faults::test_lock()`;
-//! the rest run concurrently, each against its own daemon.
+//! Every test runs concurrently against its own daemon. A fault a test
+//! arms reaches only the daemons it started: each daemon thread fires
+//! the faults of the thread that started it (`pm_store::faults`).
 
 use pm_datagen::DatasetConfig;
 use pm_rules::{MinerConfig, Support};
@@ -162,6 +163,37 @@ fn concurrent_recommends_match_the_offline_matcher_byte_for_byte() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A fault armed by another thread — here, a neighbouring test's
+/// matcher panic — never reaches a daemon this thread started.
+#[test]
+fn faults_armed_on_another_thread_do_not_reach_this_daemon() {
+    let (armed_tx, armed) = std::sync::mpsc::channel();
+    let (release, stay_armed) = std::sync::mpsc::channel::<()>();
+    let helper = std::thread::spawn(move || {
+        faults::set_compute_panic(true);
+        armed_tx.send(()).unwrap();
+        let _ = stay_armed.recv(); // armed until this test ends
+    });
+    armed.recv().unwrap();
+
+    let fix = fixture();
+    let dir = tmp_dir("isolated");
+    let path = sealed_model_file(&dir, "model.pm", fix);
+    let server = Server::start("127.0.0.1:0", &path, ServeConfig::default()).unwrap();
+    let mut c = Client::connect(server.addr());
+    for customer in &fix.customers {
+        assert_eq!(
+            c.send(&recommend_line(customer)),
+            expected_line(&fix.model, customer)
+        );
+    }
+    assert_ok(&c.send(r#"{"op":"shutdown"}"#));
+    assert_eq!(server.join().degraded, 0);
+    drop(release);
+    helper.join().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn ping_stats_and_protocol_errors_leave_the_connection_usable() {
     let fix = fixture();
@@ -242,7 +274,6 @@ fn hot_reload_swaps_the_model_atomically() {
 
 #[test]
 fn failed_reload_keeps_the_old_model_serving() {
-    let _guard = faults::test_lock();
     let fix = fixture();
     let dir = tmp_dir("badreload");
     let path = sealed_model_file(&dir, "model.pm", fix);
@@ -288,7 +319,6 @@ fn failed_reload_keeps_the_old_model_serving() {
 
 #[test]
 fn degraded_answers_are_byte_deterministic_and_flagged() {
-    let _guard = faults::test_lock();
     let fix = fixture();
     let dir = tmp_dir("degraded");
     let path = sealed_model_file(&dir, "model.pm", fix);
@@ -337,7 +367,6 @@ fn degraded_answers_are_byte_deterministic_and_flagged() {
 
 #[test]
 fn overload_sheds_with_an_error_line_instead_of_queueing_forever() {
-    let _guard = faults::test_lock();
     let fix = fixture();
     let dir = tmp_dir("shed");
     let path = sealed_model_file(&dir, "model.pm", fix);

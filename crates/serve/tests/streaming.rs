@@ -4,7 +4,8 @@
 //! that leave the stream untouched, and the control-plane admission
 //! cap that bounds overlapping reloads deterministically.
 //!
-//! Fault-injecting tests serialize on `pm_store::faults::test_lock()`.
+//! Tests run concurrently, each against its own daemon; a fault a test
+//! arms reaches only the daemons it started (`pm_store::faults`).
 
 use pm_datagen::DatasetConfig;
 use pm_rules::{MinerConfig, Support};
@@ -286,7 +287,6 @@ fn rejected_batches_leave_stream_log_and_model_untouched() {
 /// immediately with a typed error, and every accepted job completes.
 #[test]
 fn overlapping_reloads_cap_deterministically_at_the_queue_depth() {
-    let _guard = faults::test_lock();
     let s = stream(31);
     let model = pipeline().fit(&s.head);
     let dir = tmp_dir("inflight");
@@ -678,7 +678,6 @@ fn catalog_growth_over_the_wire_matches_the_cold_fit() {
 /// old checkpoint file, the log, and the served model all stay intact.
 #[test]
 fn failed_checkpoint_write_leaves_log_and_model_untouched() {
-    let _guard = faults::test_lock();
     let s = stream(61);
     let dir = tmp_dir("ck-enospc");
     let (log, ck) = (dir.join("sales.log"), dir.join("ck.pmck"));

@@ -1,13 +1,21 @@
 //! Deterministic fault injection (test-only hooks).
 //!
-//! Like `profit_core::test_hooks`, these are process-global switches
-//! that default to off and cost one relaxed atomic load on the hot
-//! path. Production code never sets them; integration tests flip one,
-//! exercise a store or serve path, and assert the fault surfaces as the
-//! right typed error or degraded response — deterministically, because
-//! the fault fires at an exact byte offset or request, not at random.
+//! Every thread has a current fault handle: an [`Arc<Faults>`] whose
+//! switches are all off, created the first time the thread consults
+//! it. The free functions below arm, read and fire the calling
+//! thread's handle, so a test that arms a fault reaches only the code
+//! it runs itself — two tests running side by side cannot see each
+//! other's faults, and no lock is needed. A component that moves work
+//! onto threads of its own passes its caller's handle along with
+//! [`current`] and [`install`]: `pm-serve` captures the handle of the
+//! thread that starts a daemon and installs it on every daemon thread,
+//! so a fault armed after startup still reaches that daemon, and no
+//! other one. Production code never arms a switch; a disarmed check
+//! costs one thread-local lookup and one relaxed atomic load.
 //!
-//! Hook → injection point:
+//! Faults fire at an exact byte offset or request, not at random, so a
+//! test can assert the fault surfaces as the right typed error or
+//! degraded response. Hook → injection point:
 //!
 //! * [`set_torn_write_at`] — [`crate::write_atomic`] persists exactly
 //!   `k` payload bytes to the temp file, then fails as if the process
@@ -17,6 +25,8 @@
 //!   its temp file and leave the target untouched, and
 //!   [`crate::log::SalesLog::append`] must leave a tail the next open
 //!   truncates away;
+//! * [`set_vanish_parent_before_rename`] — [`crate::write_atomic`]
+//!   removes the target's parent directory right before its rename;
 //! * [`set_short_read_at`] — [`crate::read_file`] returns only the
 //!   first `k` bytes, as if the file were truncated on disk;
 //! * [`set_corrupt_byte_at`] — [`crate::read_file`] flips the low bit
@@ -30,41 +40,70 @@
 //!   per-connection handling *outside* the compute section, to prove
 //!   that a panic there is unwind-isolated (counted, logged, connection
 //!   dropped) instead of killing the worker thread.
-//!
-//! Because the hooks are process-global, tests that use them must not
-//! run concurrently with each other: take [`test_lock`] first (it also
-//! recovers from a poisoned lock, so one failing test cannot cascade)
-//! and hold the [`FaultGuard`] it returns — all hooks reset when the
-//! guard drops.
 
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::Arc;
 use std::time::Duration;
 
-/// Sentinel for "hook disabled" on the byte-offset hooks.
-const OFF: usize = usize::MAX;
+/// One set of fault switches, all off until armed. Threads share a set
+/// through [`current`] and [`install`]. A byte-offset hook stores
+/// `k + 1`, so the all-zero default is "off".
+#[derive(Debug, Default)]
+pub struct Faults {
+    torn_write_at: AtomicUsize,
+    disk_full_at: AtomicUsize,
+    vanish_parent: AtomicBool,
+    short_read_at: AtomicUsize,
+    corrupt_byte_at: AtomicUsize,
+    read_delay_ms: AtomicU64,
+    compute_delay_ms: AtomicU64,
+    compute_panic: AtomicBool,
+    handle_panic: AtomicBool,
+}
 
-static TORN_WRITE_AT: AtomicUsize = AtomicUsize::new(OFF);
-static DISK_FULL_AT: AtomicUsize = AtomicUsize::new(OFF);
-static VANISH_PARENT: AtomicBool = AtomicBool::new(false);
-static SHORT_READ_AT: AtomicUsize = AtomicUsize::new(OFF);
-static CORRUPT_BYTE_AT: AtomicUsize = AtomicUsize::new(OFF);
-static READ_DELAY_MS: AtomicU64 = AtomicU64::new(0);
-static COMPUTE_DELAY_MS: AtomicU64 = AtomicU64::new(0);
-static COMPUTE_PANIC: AtomicBool = AtomicBool::new(false);
-static HANDLE_PANIC: AtomicBool = AtomicBool::new(false);
+thread_local! {
+    static CURRENT: RefCell<Arc<Faults>> = RefCell::new(Arc::default());
+}
+
+/// The calling thread's fault handle.
+pub fn current() -> Arc<Faults> {
+    CURRENT.with(|c| Arc::clone(&c.borrow()))
+}
+
+/// Make `handle` the calling thread's fault handle, so this thread
+/// fires the faults armed on it (typically another thread's
+/// [`current`] handle).
+pub fn install(handle: Arc<Faults>) {
+    CURRENT.with(|c| *c.borrow_mut() = handle);
+}
+
+fn with<R>(f: impl FnOnce(&Faults) -> R) -> R {
+    CURRENT.with(|c| f(&c.borrow()))
+}
+
+fn set_offset(cell: &AtomicUsize, k: Option<usize>) {
+    cell.store(k.map_or(0, |k| k.saturating_add(1)), Ordering::Relaxed);
+}
+
+fn offset(cell: &AtomicUsize) -> Option<usize> {
+    cell.load(Ordering::Relaxed).checked_sub(1)
+}
+
+fn sleep_ms(ms: u64) {
+    if ms > 0 {
+        std::thread::sleep(Duration::from_millis(ms));
+    }
+}
 
 /// Make the next writes crash after persisting `k` payload bytes.
 pub fn set_torn_write_at(k: Option<usize>) {
-    TORN_WRITE_AT.store(k.unwrap_or(OFF), Ordering::Relaxed);
+    with(|f| set_offset(&f.torn_write_at, k));
 }
 
 /// The active torn-write offset, if any.
 pub fn torn_write_at() -> Option<usize> {
-    match TORN_WRITE_AT.load(Ordering::Relaxed) {
-        OFF => None,
-        k => Some(k),
-    }
+    with(|f| offset(&f.torn_write_at))
 }
 
 /// Make the next writes fail with ENOSPC ("No space left on device")
@@ -73,15 +112,12 @@ pub fn torn_write_at() -> Option<usize> {
 /// graceful-failure paths (temp cleanup, intact target, recoverable
 /// log tail) are what's under test.
 pub fn set_disk_full_at(k: Option<usize>) {
-    DISK_FULL_AT.store(k.unwrap_or(OFF), Ordering::Relaxed);
+    with(|f| set_offset(&f.disk_full_at, k));
 }
 
 /// The active disk-full offset, if any.
 pub fn disk_full_at() -> Option<usize> {
-    match DISK_FULL_AT.load(Ordering::Relaxed) {
-        OFF => None,
-        k => Some(k),
-    }
+    with(|f| offset(&f.disk_full_at))
 }
 
 /// Make the next atomic write's target parent directory vanish between
@@ -90,78 +126,66 @@ pub fn disk_full_at() -> Option<usize> {
 /// itself when it fires, so the test can recreate the directory and
 /// retry without re-tripping.
 pub fn set_vanish_parent_before_rename(on: bool) {
-    VANISH_PARENT.store(on, Ordering::Relaxed);
+    with(|f| f.vanish_parent.store(on, Ordering::Relaxed));
 }
 
 /// Consume the vanish-parent fault if armed. Called by
 /// [`crate::write_atomic`] right before its rename.
 pub fn take_vanish_parent() -> bool {
-    VANISH_PARENT.swap(false, Ordering::Relaxed)
+    with(|f| f.vanish_parent.swap(false, Ordering::Relaxed))
 }
 
 /// Make reads return only the first `k` bytes.
 pub fn set_short_read_at(k: Option<usize>) {
-    SHORT_READ_AT.store(k.unwrap_or(OFF), Ordering::Relaxed);
+    with(|f| set_offset(&f.short_read_at, k));
 }
 
 /// The active short-read offset, if any.
 pub fn short_read_at() -> Option<usize> {
-    match SHORT_READ_AT.load(Ordering::Relaxed) {
-        OFF => None,
-        k => Some(k),
-    }
+    with(|f| offset(&f.short_read_at))
 }
 
 /// Make reads flip the low bit of byte `k`.
 pub fn set_corrupt_byte_at(k: Option<usize>) {
-    CORRUPT_BYTE_AT.store(k.unwrap_or(OFF), Ordering::Relaxed);
+    with(|f| set_offset(&f.corrupt_byte_at, k));
 }
 
 /// The active corruption offset, if any.
 pub fn corrupt_byte_at() -> Option<usize> {
-    match CORRUPT_BYTE_AT.load(Ordering::Relaxed) {
-        OFF => None,
-        k => Some(k),
-    }
+    with(|f| offset(&f.corrupt_byte_at))
 }
 
 /// Delay every read by `ms` milliseconds (0 = off).
 pub fn set_read_delay_ms(ms: u64) {
-    READ_DELAY_MS.store(ms, Ordering::Relaxed);
+    with(|f| f.read_delay_ms.store(ms, Ordering::Relaxed));
 }
 
 /// Sleep for the configured read delay, if any.
 pub fn apply_read_delay() {
-    let ms = READ_DELAY_MS.load(Ordering::Relaxed);
-    if ms > 0 {
-        std::thread::sleep(Duration::from_millis(ms));
-    }
+    sleep_ms(with(|f| f.read_delay_ms.load(Ordering::Relaxed)));
 }
 
 /// Delay every serve-side compute section by `ms` milliseconds (0 = off).
 pub fn set_compute_delay_ms(ms: u64) {
-    COMPUTE_DELAY_MS.store(ms, Ordering::Relaxed);
+    with(|f| f.compute_delay_ms.store(ms, Ordering::Relaxed));
 }
 
 /// Sleep for the configured compute delay, if any. Called by `pm-serve`
 /// inside the per-request deadline window.
 pub fn apply_compute_delay() {
-    let ms = COMPUTE_DELAY_MS.load(Ordering::Relaxed);
-    if ms > 0 {
-        std::thread::sleep(Duration::from_millis(ms));
-    }
+    sleep_ms(with(|f| f.compute_delay_ms.load(Ordering::Relaxed)));
 }
 
 /// Make the serve-side compute section panic (a stand-in for a matcher
 /// bug), to exercise the catch-and-degrade path.
 pub fn set_compute_panic(on: bool) {
-    COMPUTE_PANIC.store(on, Ordering::Relaxed);
+    with(|f| f.compute_panic.store(on, Ordering::Relaxed));
 }
 
 /// Panic if the compute-panic fault is armed. Called by `pm-serve`
 /// inside its unwind-isolated compute section.
 pub fn apply_compute_panic() {
-    if COMPUTE_PANIC.load(Ordering::Relaxed) {
+    if with(|f| f.compute_panic.load(Ordering::Relaxed)) {
         panic!("injected matcher panic (pm_store::faults::set_compute_panic)");
     }
 }
@@ -172,97 +196,83 @@ pub fn apply_compute_panic() {
 /// One-shot: the hook disarms itself when it fires, so the daemon can be
 /// shown to keep answering afterwards.
 pub fn set_handle_panic(on: bool) {
-    HANDLE_PANIC.store(on, Ordering::Relaxed);
+    with(|f| f.handle_panic.store(on, Ordering::Relaxed));
 }
 
 /// Panic (once) if the handle-panic fault is armed. Called by `pm-serve`
 /// in per-connection handling, outside the compute section.
 pub fn apply_handle_panic() {
-    if HANDLE_PANIC.swap(false, Ordering::Relaxed) {
+    if with(|f| f.handle_panic.swap(false, Ordering::Relaxed)) {
         panic!("injected connection-handling panic (pm_store::faults::set_handle_panic)");
     }
-}
-
-/// Reset every hook to off.
-pub fn reset() {
-    set_torn_write_at(None);
-    set_disk_full_at(None);
-    set_vanish_parent_before_rename(false);
-    set_short_read_at(None);
-    set_corrupt_byte_at(None);
-    set_read_delay_ms(0);
-    set_compute_delay_ms(0);
-    set_compute_panic(false);
-    set_handle_panic(false);
-}
-
-/// Drop guard from [`test_lock`]: resets all hooks and releases the
-/// inter-test mutex.
-pub struct FaultGuard {
-    _lock: MutexGuard<'static, ()>,
-}
-
-impl Drop for FaultGuard {
-    fn drop(&mut self) {
-        reset();
-    }
-}
-
-/// Serialize fault-injecting tests within a process and guarantee the
-/// hooks are clean on entry and reset on exit (even on panic).
-pub fn test_lock() -> FaultGuard {
-    static LOCK: Mutex<()> = Mutex::new(());
-    // A test that panicked while holding the lock poisons it; the hooks
-    // are plain atomics, so recovering the guard is safe.
-    let lock = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    reset();
-    FaultGuard { _lock: lock }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn hooks_default_off_and_reset() {
-        let _guard = test_lock();
-        assert_eq!(torn_write_at(), None);
-        assert_eq!(short_read_at(), None);
-        assert_eq!(corrupt_byte_at(), None);
-        set_torn_write_at(Some(7));
-        set_disk_full_at(Some(9));
-        set_short_read_at(Some(3));
-        set_corrupt_byte_at(Some(0));
-        set_compute_delay_ms(5);
-        set_compute_panic(true);
-        set_handle_panic(true);
-        assert_eq!(torn_write_at(), Some(7));
-        assert_eq!(disk_full_at(), Some(9));
-        reset();
-        assert_eq!(torn_write_at(), None);
-        assert_eq!(disk_full_at(), None);
-        assert_eq!(short_read_at(), None);
-        assert_eq!(corrupt_byte_at(), None);
-        apply_compute_panic(); // must not panic after reset
-        apply_handle_panic(); // must not panic after reset
+    /// Arm every hook on a helper thread; the caller's thread, and any
+    /// thread it starts afterwards, stays inert.
+    fn arm_everything_elsewhere() {
+        std::thread::spawn(|| {
+            set_torn_write_at(Some(7));
+            set_disk_full_at(Some(9));
+            set_vanish_parent_before_rename(true);
+            set_short_read_at(Some(3));
+            set_corrupt_byte_at(Some(0));
+            set_read_delay_ms(60_000);
+            set_compute_delay_ms(60_000);
+            set_compute_panic(true);
+            set_handle_panic(true);
+            assert_eq!(torn_write_at(), Some(7));
+            assert_eq!(disk_full_at(), Some(9));
+        })
+        .join()
+        .unwrap();
     }
 
-    #[test]
-    fn handle_panic_is_one_shot() {
-        let _guard = test_lock();
-        set_handle_panic(true);
-        assert!(std::panic::catch_unwind(apply_handle_panic).is_err());
-        // The hook disarmed itself on firing.
+    fn assert_inert() {
+        assert_eq!(torn_write_at(), None);
+        assert_eq!(disk_full_at(), None);
+        assert!(!take_vanish_parent());
+        assert_eq!(short_read_at(), None);
+        assert_eq!(corrupt_byte_at(), None);
+        apply_read_delay(); // must not sleep a minute
+        apply_compute_delay();
+        apply_compute_panic(); // must not panic
         apply_handle_panic();
     }
 
     #[test]
-    fn guard_resets_on_drop() {
-        {
-            let _guard = test_lock();
-            set_short_read_at(Some(1));
-        }
-        let _guard = test_lock();
-        assert_eq!(short_read_at(), None);
+    fn a_fresh_thread_is_inert() {
+        arm_everything_elsewhere();
+        assert_inert();
+        std::thread::spawn(assert_inert).join().unwrap();
+    }
+
+    #[test]
+    fn an_installed_handle_is_shared() {
+        let handle = current();
+        std::thread::spawn(move || {
+            install(handle);
+            set_short_read_at(Some(4));
+            set_compute_panic(true);
+        })
+        .join()
+        .unwrap();
+        // Armed on the other thread, visible here: one handle, not a copy.
+        assert_eq!(short_read_at(), Some(4));
+        assert!(std::panic::catch_unwind(apply_compute_panic).is_err());
+        // Installing a fresh handle disarms this thread again.
+        install(Arc::default());
+        assert_inert();
+    }
+
+    #[test]
+    fn handle_panic_is_one_shot() {
+        set_handle_panic(true);
+        assert!(std::panic::catch_unwind(apply_handle_panic).is_err());
+        // The hook disarmed itself on firing.
+        apply_handle_panic();
     }
 }

@@ -388,7 +388,6 @@ mod tests {
 
     #[test]
     fn disk_full_mid_write_leaves_old_file_and_no_litter() {
-        let _guard = faults::test_lock();
         let dir = tmp_dir("enospc");
         let p = dir.join("model.pm");
         write_atomic(&p, b"old contents").unwrap();
@@ -413,6 +412,41 @@ mod tests {
         // Once space frees up the same write succeeds.
         write_atomic(&p, b"new contents that do not fit").unwrap();
         assert_eq!(read_file(&p).unwrap(), b"new contents that do not fit");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Faults armed on another thread never reach this one: a clean
+    /// write, read and log append all succeed while a helper thread has
+    /// every store fault armed.
+    #[test]
+    fn faults_armed_on_another_thread_do_not_leak() {
+        let (armed_tx, armed) = std::sync::mpsc::channel();
+        let (release, stay_armed) = std::sync::mpsc::channel::<()>();
+        let helper = std::thread::spawn(move || {
+            faults::set_torn_write_at(Some(0));
+            faults::set_disk_full_at(Some(0));
+            faults::set_vanish_parent_before_rename(true);
+            faults::set_short_read_at(Some(0));
+            faults::set_corrupt_byte_at(Some(0));
+            faults::set_read_delay_ms(10_000);
+            armed_tx.send(()).unwrap();
+            let _ = stay_armed.recv(); // armed until this test ends
+        });
+        armed.recv().unwrap();
+
+        let dir = tmp_dir("isolated");
+        let start = std::time::Instant::now();
+        let p = dir.join("file.bin");
+        write_atomic(&p, b"hello").unwrap();
+        assert_eq!(read_file(&p).unwrap(), b"hello");
+        let log_path = dir.join("sales.log");
+        let (log, _) = crate::log::SalesLog::open(&log_path).unwrap();
+        log.append(b"record").unwrap();
+        let (_, rec) = crate::log::SalesLog::open(&log_path).unwrap();
+        assert_eq!(rec.records, vec![b"record".to_vec()]);
+        assert!(start.elapsed() < std::time::Duration::from_secs(10));
+        drop(release);
+        helper.join().unwrap();
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -455,7 +455,6 @@ mod tests {
 
     #[test]
     fn torn_compaction_leaves_the_old_log_intact() {
-        let _guard = faults::test_lock();
         let dir = tmp_dir("compact-torn");
         let p = dir.join("sales.log");
         let (log, _) = SalesLog::open(&p).unwrap();
@@ -488,7 +487,6 @@ mod tests {
 
     #[test]
     fn disk_full_append_is_recovered_as_a_torn_tail() {
-        let _guard = faults::test_lock();
         let dir = tmp_dir("enospc");
         let p = dir.join("sales.log");
         let (log, _) = SalesLog::open(&p).unwrap();

@@ -42,7 +42,6 @@ fn good_file_round_trips_byte_identically() {
 /// a specific error, never a successful load.
 #[test]
 fn truncation_at_every_offset_is_detected() {
-    let _guard = faults::test_lock();
     let dir = tmp_dir("trunc");
     let p = dir.join("model.pm");
     save_sealed(&p, PAYLOAD).unwrap();
@@ -92,7 +91,6 @@ fn truncation_at_every_offset_is_detected() {
 
 #[test]
 fn flipped_payload_byte_is_a_checksum_mismatch() {
-    let _guard = faults::test_lock();
     let dir = tmp_dir("flip");
     let p = dir.join("model.pm");
     save_sealed(&p, PAYLOAD).unwrap();
@@ -180,7 +178,6 @@ fn trailing_garbage_is_rejected() {
 /// the crash happens in the temp file, the rename never runs.
 #[test]
 fn torn_write_never_damages_the_previous_file() {
-    let _guard = faults::test_lock();
     let dir = tmp_dir("torn-write");
     let p = dir.join("model.pm");
     save_sealed(&p, PAYLOAD).unwrap();
@@ -240,7 +237,6 @@ fn empty_file_and_directory_have_typed_errors() {
 /// temp file went down with the directory.
 #[test]
 fn vanished_parent_mid_write_errors_without_litter() {
-    let _guard = faults::test_lock();
     let dir = tmp_dir("vanish");
     let p = dir.join("model.pm");
     faults::set_vanish_parent_before_rename(true);
@@ -264,7 +260,6 @@ fn vanished_parent_mid_write_errors_without_litter() {
 
 #[test]
 fn read_delay_hook_slows_but_does_not_corrupt() {
-    let _guard = faults::test_lock();
     let dir = tmp_dir("delay");
     let p = dir.join("model.pm");
     save_sealed(&p, PAYLOAD).unwrap();

@@ -34,7 +34,6 @@ fn replay(p: &std::path::Path) -> Recovery {
 /// reopening truncates the torn record and keeps every prior batch.
 #[test]
 fn torn_final_record_recovers_to_the_previous_batch() {
-    let _guard = faults::test_lock();
     let dir = tmp_dir("torn");
     let p = seeded_log(&dir);
     let clean_len = std::fs::metadata(&p).unwrap().len();
@@ -146,7 +145,6 @@ fn truncation_at_every_offset() {
 /// rather than silently dropping or resurrecting the batch.
 #[test]
 fn bit_flipped_crc_is_a_checksum_mismatch() {
-    let _guard = faults::test_lock();
     let dir = tmp_dir("flip");
     let p = seeded_log(&dir);
     // Flip one payload byte of the *first* record (deep in the file, so
@@ -177,7 +175,6 @@ fn bit_flipped_crc_is_a_checksum_mismatch() {
 /// once — repeatedly.
 #[test]
 fn replay_after_crash_is_idempotent() {
-    let _guard = faults::test_lock();
     let dir = tmp_dir("idem");
     let p = dir.join("sales.log");
     SalesLog::open(&p).unwrap();
@@ -207,7 +204,6 @@ fn replay_after_crash_is_idempotent() {
 /// the full log (the file itself was never rewritten).
 #[test]
 fn short_read_models_truncation_without_rewriting() {
-    let _guard = faults::test_lock();
     let dir = tmp_dir("short");
     let p = seeded_log(&dir);
     let rec1_end = HEADER_LEN + RECORD_HEADER_LEN + BATCH_1.len();

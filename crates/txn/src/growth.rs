@@ -27,6 +27,7 @@
 //! first byte.
 
 use crate::catalog::{Catalog, ItemDef};
+use crate::dataset::TransactionSet;
 use crate::error::TxnError;
 use crate::hierarchy::Hierarchy;
 use crate::ids::ConceptId;
@@ -169,11 +170,37 @@ pub fn decode_stream_record(
     }
 }
 
+/// Replay sales-log records onto `data` in order: decode each payload
+/// (UTF-8, then [`decode_stream_record`]) and apply it with
+/// [`TransactionSet::apply_stream_record`]. A record with neither
+/// transactions nor catalog growth is skipped; `applied` runs after
+/// every other record. `first` is the absolute stream position of
+/// `records[0]`, and an error pairs the failing record's position with
+/// the reason.
+pub fn replay_stream_records(
+    data: &mut TransactionSet,
+    records: &[Vec<u8>],
+    first: u64,
+    mut applied: impl FnMut(&TransactionSet),
+) -> Result<(), (u64, String)> {
+    for (i, payload) in records.iter().enumerate() {
+        let at = |why: String| (first + i as u64, why);
+        let text = std::str::from_utf8(payload).map_err(|e| at(e.to_string()))?;
+        let (delta, txns) = decode_stream_record(text).map_err(at)?;
+        if txns.is_empty() && delta.as_ref().is_none_or(CatalogDelta::is_empty) {
+            continue;
+        }
+        data.apply_stream_record(delta.as_ref(), &txns)
+            .map_err(|e| at(e.to_string()))?;
+        applied(data);
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::code::PromotionCode;
-    use crate::dataset::TransactionSet;
     use crate::ids::{CodeId, ItemId};
     use crate::money::Money;
     use crate::sale::Sale;
@@ -330,6 +357,33 @@ mod tests {
         // Garbage is a typed error, not a panic.
         assert!(decode_stream_record("42").is_err());
         assert!(decode_stream_record("").is_err());
+    }
+
+    #[test]
+    fn replay_applies_records_in_order_and_names_the_failing_one() {
+        let mut ds = base_set();
+        let txns = ds.transactions().to_vec();
+        let records: Vec<Vec<u8>> = vec![
+            encode_stream_record(Some(&growth()), &txns).into_bytes(),
+            b"[]".to_vec(),
+            encode_stream_record(None, &txns).into_bytes(),
+            b"\xff".to_vec(),
+            b"42".to_vec(),
+        ];
+        let mut seen = Vec::new();
+        let err = replay_stream_records(&mut ds, &records, 7, |d| seen.push(d.len()));
+        // The empty record is skipped; the non-UTF-8 one stops the replay.
+        assert_eq!(seen, vec![2, 3]);
+        assert_eq!(ds.catalog().len(), 4);
+        let (at, why) = err.unwrap_err();
+        assert_eq!(at, 10);
+        assert!(why.contains("utf-8"), "{why}");
+        assert_eq!(
+            replay_stream_records(&mut ds, &records[4..], 11, |_| {})
+                .unwrap_err()
+                .0,
+            11
+        );
     }
 
     #[test]

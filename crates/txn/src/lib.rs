@@ -45,7 +45,10 @@ pub use code::PromotionCode;
 pub use dataset::TransactionSet;
 pub use error::TxnError;
 pub use gensale::GenSale;
-pub use growth::{decode_stream_record, encode_stream_record, CatalogDelta, NewConcept, NewItem};
+pub use growth::{
+    decode_stream_record, encode_stream_record, replay_stream_records, CatalogDelta, NewConcept,
+    NewItem,
+};
 pub use hierarchy::Hierarchy;
 pub use ids::{CodeId, ConceptId, ItemId};
 pub use moa::{Moa, QuantityModel};
