@@ -58,6 +58,13 @@ pub struct ExtendedData {
     /// sums then equal the plain profit sums bit for bit, so no separate
     /// accumulator is needed.
     pub nonneg_margins: bool,
+    /// Per-head hit count over all transactions: the support of the
+    /// default rule `∅ → g`.
+    pub(crate) head_hits: Vec<u32>,
+    /// Per-head profit `Σ_t p(∅ → g, t)`, summed in tid order (by
+    /// [`build`](Self::build) and [`extend`](Self::extend) alike, so a
+    /// patched total is bit-identical to a cold one).
+    pub(crate) head_profit: Vec<f64>,
 }
 
 /// The positive part of a head profit, for upper-bound accumulation.
@@ -94,6 +101,8 @@ impl ExtendedData {
         let mut recorded_profit = Vec::with_capacity(data.len());
         let mut txn_max_margin = Vec::with_capacity(data.len());
         let mut nonneg_margins = true;
+        let mut head_hits = vec![0u32; heads.len()];
+        let mut head_profit = vec![0.0f64; heads.len()];
         for t in data.transactions() {
             let mut gs: Vec<GsId> = Vec::new();
             for s in t.non_target_sales() {
@@ -120,6 +129,10 @@ impl ExtendedData {
             // NaN compares false, so it correctly clears the flag.
             nonneg_margins &= hs.iter().all(|&(_, p)| p >= 0.0);
             txn_max_margin.push(hs.iter().map(|&(_, p)| pos_part(p)).fold(0.0f64, f64::max));
+            for &(h, p) in &hs {
+                head_hits[h.index()] += 1;
+                head_profit[h.index()] += p;
+            }
             txn_heads.push(hs);
             recorded_profit.push(target.profit(catalog).as_dollars());
         }
@@ -132,6 +145,8 @@ impl ExtendedData {
             recorded_profit,
             txn_max_margin,
             nonneg_margins,
+            head_hits,
+            head_profit,
         }
     }
 
@@ -172,6 +187,9 @@ impl ExtendedData {
             "catalog growth must append heads, never reorder or drop them"
         );
         self.heads = heads;
+        // New heads start at zero: no earlier transaction can hit them.
+        self.head_hits.resize(self.heads.len(), 0);
+        self.head_profit.resize(self.heads.len(), 0.0);
         let head_index: std::collections::HashMap<(ItemId, CodeId), HeadId> = self
             .heads
             .iter()
@@ -204,6 +222,10 @@ impl ExtendedData {
             self.nonneg_margins &= hs.iter().all(|&(_, p)| p >= 0.0);
             self.txn_max_margin
                 .push(hs.iter().map(|&(_, p)| pos_part(p)).fold(0.0f64, f64::max));
+            for &(h, p) in &hs {
+                self.head_hits[h.index()] += 1;
+                self.head_profit[h.index()] += p;
+            }
             self.txn_heads.push(hs);
             self.recorded_profit
                 .push(target.profit(catalog).as_dollars());
