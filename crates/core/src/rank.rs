@@ -1,63 +1,11 @@
 //! The most-profitable-first (MPF) rank order (Definition 6).
 //!
-//! `r` is ranked higher than `r'` by, in order:
-//!
-//! 1. larger recommendation profit `Prof_re`;
-//! 2. larger support (generality);
-//! 3. smaller body (simplicity);
-//! 4. earlier generation (totality of order).
-//!
-//! Confidence is not a criterion — it is already factored into `Prof_re`
-//! (and under [`ProfitMode::Confidence`] `Prof_re` *is* confidence).
+//! The comparator itself, [`mpf_cmp`], lives in `pm-rules` next to
+//! [`Rule`], so the miner's default-dominance floor and the covering
+//! tree rank with one definition; see `pm_rules::rule` for the criteria.
 
+pub use pm_rules::rule::{mpf_cmp, test_hooks};
 use pm_rules::{MinedRules, ProfitMode, Rule};
-use std::cmp::Ordering;
-
-/// Test-only fault injection for the differential oracle harness.
-///
-/// The harness must be able to prove it *would* catch a ranking bug; this
-/// hook lets a test deliberately break the §3.2 tie-chain (swapping the
-/// support and body-size criteria) without touching production code paths.
-/// It is process-global — tests that enable it must run in their own
-/// integration-test binary.
-#[doc(hidden)]
-pub mod test_hooks {
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    static SWAP_SUPPORT_BODY_TIE: AtomicBool = AtomicBool::new(false);
-
-    /// Enable or disable the swapped support/body-size tie-break.
-    pub fn set_swap_support_body_tie(on: bool) {
-        SWAP_SUPPORT_BODY_TIE.store(on, Ordering::Relaxed);
-    }
-
-    /// Whether the swapped tie-break is active.
-    pub fn swap_support_body_tie() -> bool {
-        SWAP_SUPPORT_BODY_TIE.load(Ordering::Relaxed)
-    }
-}
-
-/// Compare two rules by MPF rank under `mode`.
-/// `Ordering::Greater` means `a` is ranked **higher** than `b`.
-pub fn mpf_cmp(a: &Rule, b: &Rule, mode: ProfitMode) -> Ordering {
-    let primary = a
-        .recommendation_profit(mode)
-        .total_cmp(&b.recommendation_profit(mode));
-    if test_hooks::swap_support_body_tie() {
-        // Injected bug (tests only): simplicity before generality.
-        return primary
-            .then_with(|| b.body_len().cmp(&a.body_len()))
-            .then_with(|| a.support_count().cmp(&b.support_count()))
-            .then_with(|| b.gen_index.cmp(&a.gen_index));
-    }
-    primary
-        // Generality: larger support ranks higher.
-        .then_with(|| a.support_count().cmp(&b.support_count()))
-        // Simplicity: smaller body ranks higher.
-        .then_with(|| b.body_len().cmp(&a.body_len()))
-        // Totality: earlier generation ranks higher.
-        .then_with(|| b.gen_index.cmp(&a.gen_index))
-}
 
 /// Sort rule indices into descending MPF rank (highest rank first).
 pub fn sort_by_rank_desc(rules: &mut [Rule], mode: ProfitMode) {
@@ -80,6 +28,7 @@ pub fn ranked_rules(mined: &MinedRules, mode: ProfitMode) -> Vec<Rule> {
 mod tests {
     use super::*;
     use pm_rules::{GsId, HeadId};
+    use std::cmp::Ordering;
 
     fn rule(body_len: usize, body_count: u32, hits: u32, profit: f64, gen: u32) -> Rule {
         Rule {

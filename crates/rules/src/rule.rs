@@ -1,8 +1,44 @@
-//! Mined rules and their worth measures (§3.1, Definition 5).
+//! Mined rules, their worth measures (§3.1, Definition 5) and the
+//! most-profitable-first (MPF) rank order (Definition 6).
+//!
+//! `r` is ranked higher than `r'` by, in order:
+//!
+//! 1. larger recommendation profit `Prof_re`;
+//! 2. larger support (generality);
+//! 3. smaller body (simplicity);
+//! 4. earlier generation (totality of order).
+//!
+//! Confidence is not a criterion — it is already factored into `Prof_re`
+//! (and under [`ProfitMode::Confidence`] `Prof_re` *is* confidence).
 
 use crate::extend::HeadId;
 use crate::interner::GsId;
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
+
+/// Test-only fault injection for the differential oracle harness.
+///
+/// The harness must be able to prove it *would* catch a ranking bug; this
+/// hook lets a test deliberately break the §3.2 tie-chain (swapping the
+/// support and body-size criteria) without touching production code paths.
+/// It is process-global — tests that enable it must run in their own
+/// integration-test binary.
+#[doc(hidden)]
+pub mod test_hooks {
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    static SWAP_SUPPORT_BODY_TIE: AtomicBool = AtomicBool::new(false);
+
+    /// Enable or disable the swapped support/body-size tie-break.
+    pub fn set_swap_support_body_tie(on: bool) {
+        SWAP_SUPPORT_BODY_TIE.store(on, Ordering::Relaxed);
+    }
+
+    /// Whether the swapped tie-break is active.
+    pub fn swap_support_body_tie() -> bool {
+        SWAP_SUPPORT_BODY_TIE.load(Ordering::Relaxed)
+    }
+}
 
 /// Which profit notion drives ranking and pruning.
 ///
@@ -78,6 +114,57 @@ impl Rule {
     pub fn body_len(&self) -> usize {
         self.body.len()
     }
+}
+
+/// The MPF rank keys of one rule under one profit mode, in criterion
+/// order. Built from a [`Rule`], or from the raw statistics of a rule
+/// the miner has not materialized yet.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RankKey {
+    /// `Prof_re` under the mode.
+    pub(crate) prof_re: f64,
+    /// Support count.
+    pub(crate) support: u32,
+    /// Body length.
+    pub(crate) body_len: usize,
+    /// Generation index.
+    pub(crate) gen_index: u32,
+}
+
+impl RankKey {
+    pub(crate) fn of(r: &Rule, mode: ProfitMode) -> Self {
+        Self {
+            prof_re: r.recommendation_profit(mode),
+            support: r.support_count(),
+            body_len: r.body_len(),
+            gen_index: r.gen_index,
+        }
+    }
+
+    /// `Ordering::Greater` means `self` is ranked **higher**.
+    pub(crate) fn rank_cmp(&self, other: &Self) -> Ordering {
+        let primary = self.prof_re.total_cmp(&other.prof_re);
+        if test_hooks::swap_support_body_tie() {
+            // Injected bug (tests only): simplicity before generality.
+            return primary
+                .then_with(|| other.body_len.cmp(&self.body_len))
+                .then_with(|| self.support.cmp(&other.support))
+                .then_with(|| other.gen_index.cmp(&self.gen_index));
+        }
+        primary
+            // Generality: larger support ranks higher.
+            .then_with(|| self.support.cmp(&other.support))
+            // Simplicity: smaller body ranks higher.
+            .then_with(|| other.body_len.cmp(&self.body_len))
+            // Totality: earlier generation ranks higher.
+            .then_with(|| other.gen_index.cmp(&self.gen_index))
+    }
+}
+
+/// Compare two rules by MPF rank under `mode`.
+/// `Ordering::Greater` means `a` is ranked **higher** than `b`.
+pub fn mpf_cmp(a: &Rule, b: &Rule, mode: ProfitMode) -> Ordering {
+    RankKey::of(a, mode).rank_cmp(&RankKey::of(b, mode))
 }
 
 #[cfg(test)]

@@ -15,6 +15,8 @@
 //!
 //! [`compare_tree`] is a separate axis for §4.1: the covering tree's
 //! survivors, parents and covers against the oracle's pairwise tree.
+//! [`compare_floor`] checks the production default-dominance floor,
+//! which the oracle comparisons run without, at the model level.
 
 #![allow(dead_code)]
 
@@ -93,6 +95,14 @@ pub fn compare_dataset(
                     };
                     let mined = mine_with(PrunePolicy::Off);
                     compare_rule_sets(&oracle, &mined).map_err(|e| format!("[{ctx}] {e}"))?;
+                    let floored = RuleMiner::new(MinerConfig {
+                        prune_default_dominated: true,
+                        ..miner_config(minsup, max_body_len, moa_on, qm)
+                    })
+                    .with_threads(threads)
+                    .with_tidset(policy)
+                    .mine(data);
+                    compare_floor(&mined, &floored).map_err(|e| format!("[{ctx}] {e}"))?;
                     // The PrunePolicy axis: the upper-bound pruner must be
                     // invisible down to the serialized model bytes.
                     let pruned = mine_with(PrunePolicy::Upper);
@@ -157,14 +167,22 @@ pub fn compare_workloads(
                         let mut cfg =
                             miner_config(minsup, max_body_len, true, QuantityModel::Saving);
                         cfg.min_rule_profit = *scalar;
-                        let mined = RuleMiner::new(cfg)
-                            .with_threads(threads)
-                            .with_tidset(policy)
-                            .with_prune(prune)
-                            .with_target(target.clone())
-                            .with_item_floors(per_item.clone())
-                            .mine(data);
+                        let mine_with = |cfg: MinerConfig| {
+                            RuleMiner::new(cfg)
+                                .with_threads(threads)
+                                .with_tidset(policy)
+                                .with_prune(prune)
+                                .with_target(target.clone())
+                                .with_item_floors(per_item.clone())
+                                .mine(data)
+                        };
+                        let mined = mine_with(cfg);
                         compare_rule_sets(&oracle, &mined).map_err(|e| format!("[{ctx}] {e}"))?;
+                        let floored = mine_with(MinerConfig {
+                            prune_default_dominated: true,
+                            ..cfg
+                        });
+                        compare_floor(&mined, &floored).map_err(|e| format!("[{ctx}] {e}"))?;
                         for (mode, omode) in MODES {
                             compare_ranked(&oracle, &mined, mode, omode)
                                 .map_err(|e| format!("[{ctx} mode={mode:?}] {e}"))?;
@@ -252,6 +270,50 @@ fn compare_prune_axis(off: &MinedRules, on: &MinedRules) -> Result<(), String> {
             return Err(format!(
                 "serialized model bytes differ under pruning (mode {mode:?})"
             ));
+        }
+    }
+    Ok(())
+}
+
+/// The production floor leg: mining with `prune_default_dominated` on
+/// (the CLI and benchmark setting) must not change any model. Under both
+/// profit modes, with the §4 cut on and off, the model's rules and its
+/// `after_dominance` / `after_cut` counts must equal those of the
+/// floor-off build `off`. `mined_rules` and `ranked_rules` legitimately
+/// shrink: the floor drops exactly the rules the default rule dominates.
+pub fn compare_floor(off: &MinedRules, on: &MinedRules) -> Result<(), String> {
+    for (mode, _) in MODES {
+        for prune in [false, true] {
+            let cut = CutConfig {
+                profit_mode: mode,
+                prune,
+                ..CutConfig::default()
+            };
+            let (a, b) = (RuleModel::build(off, &cut), RuleModel::build(on, &cut));
+            let ctx = format!("floor on, mode={mode:?} cut={prune}");
+            if a.rules() != b.rules() {
+                let first = a
+                    .rules()
+                    .iter()
+                    .zip(b.rules())
+                    .position(|(x, y)| x != y)
+                    .unwrap_or(a.rules().len().min(b.rules().len()));
+                return Err(format!(
+                    "[{ctx}] model rules: {} floor off vs {} floor on, first difference at {first}: \
+                     {:?} vs {:?}",
+                    a.rules().len(),
+                    b.rules().len(),
+                    a.rules().get(first),
+                    b.rules().get(first)
+                ));
+            }
+            let (sa, sb) = (a.stats(), b.stats());
+            if (sa.after_dominance, sa.after_cut) != (sb.after_dominance, sb.after_cut) {
+                return Err(format!(
+                    "[{ctx}] after_dominance/after_cut: {}/{} floor off vs {}/{} floor on",
+                    sa.after_dominance, sa.after_cut, sb.after_dominance, sb.after_cut
+                ));
+            }
         }
     }
     Ok(())

@@ -5,19 +5,25 @@
 //!    bound) emits exactly the post-filtered untargeted rule stream —
 //!    same rules, same order, bit-identical profits, renumbered
 //!    generation indices — across `TidPolicy × PrunePolicy × {1, 4}`
-//!    threads; and
+//!    threads. With the default-dominance floor on (even seeds), the
+//!    stream is the floor-off one, post-filtered to the target and then
+//!    cut to the rules that outrank the targeted run's own default rule
+//!    under at least one profit mode; and
 //! 2. the identity path is byte-clean: with no target and no per-item
 //!    floors the builders must not perturb the serialized model — the
 //!    same bytes as a miner that never heard of PR 9's knobs, with and
 //!    without a scalar `min_rule_profit` floor.
 
 use pm_datagen::DatasetConfig;
-use pm_rules::{GsId, MinedRules, MinerConfig, PrunePolicy, Rule, RuleMiner, Support, TidPolicy};
+use pm_rules::{
+    GsId, MinedRules, MinerConfig, ProfitMode, PrunePolicy, Rule, RuleMiner, Support, TidPolicy,
+};
 use pm_txn::{CodeId, TargetFilter, TransactionSet};
-use profit_core::{CutConfig, RuleModel};
+use profit_core::{mpf_cmp, CutConfig, RuleModel};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::cmp::Ordering;
 
 fn dataset(seed: u64) -> TransactionSet {
     let n_txns = [12, 16, 24, 30][(seed % 4) as usize];
@@ -52,6 +58,26 @@ fn post_filter(full: &MinedRules, t: &TargetFilter) -> Vec<Rule> {
     out
 }
 
+/// The floor's defining semantics: keep the rules that outrank
+/// `mined`'s default rule under at least one profit mode, renumber
+/// generation.
+fn above_default(rules: &[Rule], mined: &MinedRules) -> Vec<Rule> {
+    let defaults = [ProfitMode::Profit, ProfitMode::Confidence].map(|m| (m, mined.default_rule(m)));
+    let mut out: Vec<Rule> = rules
+        .iter()
+        .filter(|r| {
+            defaults
+                .iter()
+                .any(|(m, d)| mpf_cmp(r, d, *m) == Ordering::Greater)
+        })
+        .cloned()
+        .collect();
+    for (i, r) in out.iter_mut().enumerate() {
+        r.gen_index = i as u32;
+    }
+    out
+}
+
 /// Bit-exact comparison key (f64 profits compared by representation).
 fn exact(rules: &[Rule]) -> Vec<(Vec<GsId>, u32, u32, u32, u64, u32)> {
     rules
@@ -77,7 +103,12 @@ fn model_bytes(mined: &MinedRules) -> String {
 fn check_targeted(seed: u64) {
     let data = dataset(seed);
     let cfg = config(seed);
-    let full = RuleMiner::new(cfg).with_threads(1).mine(&data);
+    let full = RuleMiner::new(MinerConfig {
+        prune_default_dominated: false,
+        ..cfg
+    })
+    .with_threads(1)
+    .mine(&data);
     let first_target = data.catalog().target_items()[0];
     let targets = [
         TargetFilter::Items(vec![first_target]),
@@ -85,7 +116,14 @@ fn check_targeted(seed: u64) {
         TargetFilter::Codes(vec![CodeId(1)]),
     ];
     for t in &targets {
-        let expect = post_filter(&full, t);
+        let mut expect = post_filter(&full, t);
+        if cfg.prune_default_dominated {
+            let targeted = RuleMiner::new(cfg)
+                .with_threads(1)
+                .with_target(Some(t.clone()))
+                .mine(&data);
+            expect = above_default(&expect, &targeted);
+        }
         for policy in [TidPolicy::Dense, TidPolicy::Sparse, TidPolicy::Adaptive] {
             for threads in [1usize, 4] {
                 for prune in [PrunePolicy::Off, PrunePolicy::Upper] {
