@@ -23,7 +23,7 @@ pub fn max_threads() -> usize {
 
 /// Resolve a requested thread count: `0` → the `PM_THREADS` environment
 /// variable if set (CI runs the whole test suite once with `PM_THREADS=1`
-/// to pin the sequential path), else all cores; an explicit request
+/// to pin every fan-out to inline execution), else all cores; an explicit request
 /// passes through unchanged.
 pub fn resolve(threads: usize) -> usize {
     if threads == 0 {
